@@ -179,10 +179,21 @@ func BenchmarkEquivalentMatrix(b *testing.B) {
 	}
 }
 
+// newBenchHandler serves the default Config; the job plane is drained
+// when the benchmark ends.
+func newBenchHandler(b *testing.B) http.Handler {
+	sv, err := minserve.New(minserve.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = sv.Close(context.Background()) })
+	return sv.Handler()
+}
+
 // BenchmarkServeCheckCached: a warm /v1/check hit through the minserve
 // LRU — the full HTTP handler path minus the analysis it caches away.
 func BenchmarkServeCheckCached(b *testing.B) {
-	h := minserve.NewHandler(minserve.Config{})
+	h := newBenchHandler(b)
 	const body = `{"network":"indirect-binary-cube","stages":10}`
 	request := func() *httptest.ResponseRecorder {
 		req := httptest.NewRequest("POST", "/v1/check", strings.NewReader(body))
@@ -227,7 +238,7 @@ func BenchmarkServeBatchWarm(b *testing.B) {
 	batchBody := batch.String()
 
 	newWarmHandler := func(b *testing.B) http.Handler {
-		h := minserve.NewHandler(minserve.Config{})
+		h := newBenchHandler(b)
 		for _, body := range bodies {
 			req := httptest.NewRequest("POST", "/v1/check", strings.NewReader(body))
 			rec := httptest.NewRecorder()

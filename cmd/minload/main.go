@@ -605,7 +605,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	// across codec rows.
 	var tgt, calTgt target
 	if *inproc {
-		h := minserve.NewHandler(minserve.Config{})
+		svc, err := minserve.New(minserve.Config{})
+		if err != nil {
+			return err
+		}
+		// The job plane is in memory (no JobsDir): a drain cut short
+		// loses nothing, so its error is not reported.
+		defer func() { _ = svc.Close(ctx) }()
+		h := svc.Handler()
 		tgt = &inprocTarget{h: h, binary: binary}
 		calTgt = &inprocTarget{h: h}
 	} else {

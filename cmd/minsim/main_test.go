@@ -3,8 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+
+	"minequiv/min"
 )
 
 func runSim(t *testing.T, args ...string) (string, error) {
@@ -191,8 +195,8 @@ func TestSimErrors(t *testing.T) {
 	if _, err := runSim(t, "-net", "nope", "-n", "3"); err == nil {
 		t.Error("unknown network accepted")
 	}
-	if _, err := runSim(t, "-model", "nope", "-n", "3"); err == nil {
-		t.Error("unknown model accepted")
+	if _, err := runSim(t, "-model", "nope", "-n", "3"); err == nil || !strings.Contains(err.Error(), `unknown model "nope"`) {
+		t.Errorf("single run with -model nope: err %v, want unknown model", err)
 	}
 	if _, err := runSim(t, "-counter", "-n", "2"); err == nil {
 		t.Error("n=2 counterexample accepted")
@@ -295,5 +299,52 @@ func TestKernelFlag(t *testing.T) {
 	}
 	if _, err := runSim(t, "-n", "3", "-model", "buffered", "-cycles", "100", "-kernel", "bit"); err == nil {
 		t.Error("-kernel accepted for the buffered model")
+	}
+}
+
+// TestCountsMatchFacade is minsim's leg of the differential oracle: the
+// counts line a single wave run prints must be the integer counts
+// min.Simulate returns for the same (network, stages, load, faults,
+// seed, waves).
+func TestCountsMatchFacade(t *testing.T) {
+	for _, tc := range []struct {
+		network string
+		load    float64
+		dead    float64
+	}{
+		{min.Omega, 0.5, 0},
+		{min.Omega, 1, 0.02},
+		{min.Flip, 0.5, 0.02},
+		{min.Flip, 1, 0},
+	} {
+		args := []string{"-net", tc.network, "-n", "6", "-waves", "100", "-seed", "11",
+			"-load", strconv.FormatFloat(tc.load, 'g', -1, 64)}
+		opts := []min.Option{min.WithSeed(11), min.WithLoad(tc.load), min.WithWaves(100)}
+		if tc.dead > 0 {
+			args = append(args, "-faults", "dead="+strconv.FormatFloat(tc.dead, 'g', -1, 64))
+			opts = append(opts, min.WithFaults(min.FaultPlan{SwitchDeadRate: tc.dead}))
+		}
+		out, err := runSim(t, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := min.Build(tc.network, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := min.Simulate(context.Background(), nw, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("  offered %d, delivered %d, dropped %d, misrouted %d\n",
+			st.Offered, st.Delivered, st.Dropped, st.Misrouted)
+		if !strings.Contains(out, want) {
+			t.Errorf("%v: counts line differs from min.Simulate:\ngot\n%swant line\n%s", args, out, want)
+		}
+		if tc.dead > 0 {
+			if want := fmt.Sprintf("; %d packets killed by faults\n", st.FaultDropped); !strings.Contains(out, want) {
+				t.Errorf("%v: fault count differs from min.Simulate (want %d):\n%s", args, st.FaultDropped, out)
+			}
+		}
 	}
 }

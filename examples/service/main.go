@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,7 +18,16 @@ import (
 )
 
 func main() {
-	srv := httptest.NewServer(minserve.NewHandler(minserve.Config{}))
+	svc, err := minserve.New(minserve.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := svc.Close(context.Background()); err != nil {
+			log.Print(err)
+		}
+	}()
+	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	base := srv.URL
 

@@ -168,7 +168,7 @@ func TestChaosCrashResumeByteIdentity(t *testing.T) {
 
 func testSpecNormalized() Spec {
 	s := testSpec()
-	s.normalize(2048)
+	s.normalize()
 	return s
 }
 

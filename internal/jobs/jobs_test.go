@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -432,4 +433,37 @@ func patternForCell(t *testing.T, cell Cell) sim.Traffic {
 		p = sim.Thinned(cell.Load, p)
 	}
 	return p
+}
+
+// TestFabricCacheConcurrentFirstGet: racing first lookups of one key
+// compile once and all receive the same fabric (run under -race).
+func TestFabricCacheConcurrentFirstGet(t *testing.T) {
+	fc := &fabricCache{}
+	const callers = 8
+	got := make([]*sim.Fabric, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, err := fc.get(topology.NameOmega, 8)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = f
+		}()
+	}
+	// A second key resolves alongside the racing first lookups.
+	if _, err := fc.get(topology.NameBaseline, 4); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for i, f := range got {
+		if f == nil || f != got[0] {
+			t.Fatalf("caller %d got fabric %p, caller 0 got %p", i, f, got[0])
+		}
+	}
+	if _, err := fc.get("nope", 4); err == nil {
+		t.Error("unknown network compiled")
+	}
 }

@@ -65,7 +65,6 @@ type Hooks struct {
 type Config struct {
 	Dir          string        // checkpoint root; "" = in-memory only (jobs still run, nothing survives restart)
 	Workers      int           // shard executor goroutines; <= 0 means GOMAXPROCS
-	ShardTrials  int           // default trials per shard when the spec leaves it 0
 	ShardTimeout time.Duration // per-attempt execution budget; also the steal lease
 	MaxRetries   int           // failures beyond this quarantine the shard
 	BackoffBase  time.Duration // first retry delay; doubles per failure, ±50% jitter
@@ -82,9 +81,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ShardTrials <= 0 {
-		c.ShardTrials = 2048
 	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = time.Minute
@@ -366,7 +362,7 @@ func newID() string {
 // Submit validates, normalizes, persists, and enqueues a sweep,
 // returning its job ID.
 func (m *Manager) Submit(spec Spec) (string, error) {
-	spec.normalize(m.cfg.ShardTrials)
+	spec.normalize()
 	if err := spec.validate(); err != nil {
 		return "", err
 	}

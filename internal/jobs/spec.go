@@ -41,14 +41,18 @@ type Spec struct {
 	Kernel        string    `json:"kernel,omitempty"`
 	TrialsPerCell int       `json:"trialsPerCell"`
 	Seed          uint64    `json:"seed,omitempty"`
-	ShardTrials   int       `json:"shardTrials,omitempty"` // trials per shard; defaulted by the manager
+	ShardTrials   int       `json:"shardTrials,omitempty"` // trials per shard; 0 = DefaultShardTrials
 }
+
+// DefaultShardTrials is the shard granularity of a spec that leaves
+// ShardTrials unset.
+const DefaultShardTrials = 2048
 
 // normalize fills defaults in place. It runs before validation and
 // before the spec is persisted, so the stored spec — and therefore the
 // result bytes derived from it — never depend on which optional fields
 // the submitter spelled out.
-func (s *Spec) normalize(defaultShardTrials int) {
+func (s *Spec) normalize() {
 	if len(s.Loads) == 0 {
 		s.Loads = []float64{1}
 	}
@@ -65,7 +69,7 @@ func (s *Spec) normalize(defaultShardTrials int) {
 		s.Seed = 1
 	}
 	if s.ShardTrials <= 0 {
-		s.ShardTrials = defaultShardTrials
+		s.ShardTrials = DefaultShardTrials
 	}
 	if s.ShardTrials > s.TrialsPerCell && s.TrialsPerCell > 0 {
 		s.ShardTrials = s.TrialsPerCell

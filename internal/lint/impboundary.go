@@ -26,8 +26,10 @@ type BoundaryConfig struct {
 // `min` facade is the only supported library surface; everything else
 // reaches internals through it. cmd/minbench regenerates the
 // EXPERIMENTS.md tables, cmd/minlint is the static-contract driver
-// over internal/lint, and bench_test.go is the root benchmark harness
-// — all module-internal tooling, not API consumers. minserve is the
+// over internal/lint, bench_test.go is the root benchmark harness and
+// differential_test.go the cross-surface oracle (it reads job cells
+// and binary frames as their owners define them) — all module-internal
+// tooling, not API consumers. minserve is the
 // HTTP service: its request surface rides the min facade, but its
 // asynchronous job plane is internal/jobs (sweep scheduling and
 // checkpointing are serving concerns, not library API).
@@ -41,6 +43,7 @@ var DefaultBoundary = BoundaryConfig{
 	},
 	AllowedFiles: []string{
 		"minequiv/bench_test.go",
+		"minequiv/differential_test.go",
 	},
 }
 

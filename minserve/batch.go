@@ -47,18 +47,9 @@ type (
 	batchRequest = codec.BatchRequest
 )
 
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	wi, err := s.negotiate(r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	body, release, err := s.readBody(w, r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	defer release()
+// serveBatch answers one /v1/batch body (handleWork has negotiated its
+// codecs and read it).
+func (s *server) serveBatch(w http.ResponseWriter, r *http.Request, wi wire, body []byte) {
 	var req batchRequest
 	if err := decodeRequest(wi, body, &req); err != nil {
 		writeErr(w, r, err)
@@ -124,41 +115,16 @@ func (s *server) writeBatchBinary(w http.ResponseWriter, r *http.Request, req *b
 	writeWireBytes(w, http.StatusOK, out, nil, true)
 }
 
-// runBatchItem executes one sub-request under its codec pair and
-// returns the rendered body, the status, and the cache attribution
-// (codec.CacheNone for ops without one, and for errors).
-func (s *server) runBatchItem(ctx context.Context, item batchItem, wi wire) ([]byte, int, uint8) {
-	var (
-		body []byte
-		hit  bool
-		attr bool // whether this op carries cache attribution
-		err  error
-	)
-	switch item.Op {
-	case "check":
-		attr = true
-		body, hit, err = s.execCheck(wi, item.Request)
-	case "route":
-		attr = true
-		body, hit, err = s.execRoute(wi, item.Request)
-	case "simulate":
-		body, err = s.execSimulate(ctx, wi, item.Request)
-	default:
-		err = badRequest("unknown op %q (check, route or simulate)", item.Op)
-	}
-	status := http.StatusOK
+// runBatchItem executes one sub-request under its codec pair through
+// execOp and returns the rendered body, the status, and the cache
+// attribution. An error becomes the item's JSON envelope.
+func (s *server) runBatchItem(ctx context.Context, item batchItem, wi wire) ([]byte, int, cacheAttr) {
+	body, attr, err := s.execOp(ctx, item.Op, wi, item.Request)
 	if err != nil {
-		body, status = encodeErr(err)
-		attr = false
-	}
-	switch {
-	case !attr || s.cache == nil:
+		body, status := encodeErr(err)
 		return body, status, codec.CacheNone
-	case hit:
-		return body, status, codec.CacheHit
-	default:
-		return body, status, codec.CacheMiss
 	}
+	return body, http.StatusOK, attr
 }
 
 // execBatchItem renders one positional JSON sub-response into out.

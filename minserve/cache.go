@@ -8,8 +8,8 @@ import (
 	"sync"
 )
 
-// CacheStats is the hit/miss accounting of the response cache, exposed
-// at GET /v1/stats.
+// CacheStats is the hit/miss accounting of the response cache, reported
+// in the cache block of GET /v1/healthz.
 type CacheStats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
@@ -62,8 +62,12 @@ func newResponseCache(capacity int) *responseCache {
 }
 
 // get returns the cached body for key and records a hit or miss. The
-// returned slice must not be mutated.
+// returned slice must not be mutated. A nil (disabled) cache always
+// misses, uncounted.
 func (c *responseCache) get(key string) ([]byte, bool) {
+	if c == nil {
+		return nil, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -81,6 +85,9 @@ func (c *responseCache) get(key string) ([]byte, bool) {
 // the accounting, so totals match the pre-lookaside behaviour. The
 // body-keyed map lookup compiles to a no-copy string conversion.
 func (c *responseCache) getRaw(endpoint string, body []byte) ([]byte, bool) {
+	if c == nil {
+		return nil, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.raw[endpoint][string(body)]
@@ -180,32 +187,4 @@ func writeJSONBytes(w http.ResponseWriter, status int, body []byte, xCache []str
 	}
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
-}
-
-// computeCached answers from the cache when possible; otherwise it runs
-// compute, renders it through render (the negotiated response codec),
-// and caches the body (raw-indexing it under rawBody when non-nil). It
-// returns the response bytes and whether the cache answered, so both
-// the single handlers and the batch endpoint share one execution path.
-// Only successful responses are cached — errors stay uncached. Callers
-// fold the codec into key and endpoint, so a hit always replays bytes
-// rendered the way this request asked for.
-func (s *server) computeCached(key, endpoint string, rawBody []byte, render func(any) ([]byte, error), compute func() (any, error)) ([]byte, bool, error) {
-	if s.cache != nil {
-		if body, ok := s.cache.get(key); ok {
-			return body, true, nil
-		}
-	}
-	v, err := compute()
-	if err != nil {
-		return nil, false, err
-	}
-	body, err := render(v)
-	if err != nil {
-		return nil, false, err
-	}
-	if s.cache != nil {
-		s.cache.put(key, endpoint, rawBody, body)
-	}
-	return body, false, nil
 }

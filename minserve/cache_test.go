@@ -7,15 +7,16 @@ import (
 	"testing"
 )
 
+// cacheStats reads the cache block of /v1/healthz.
 func cacheStats(t *testing.T, h http.Handler) CacheStats {
 	t.Helper()
-	rec := do(t, h, "GET", "/v1/stats", "")
+	rec := do(t, h, "GET", "/v1/healthz", "")
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/stats: status %d", rec.Code)
+		t.Fatalf("/v1/healthz: status %d", rec.Code)
 	}
-	var resp statsResponse
+	var resp healthzResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("/v1/stats body: %v", err)
+		t.Fatalf("/v1/healthz body: %v", err)
 	}
 	return resp.Cache
 }
@@ -24,7 +25,7 @@ func cacheStats(t *testing.T, h http.Handler) CacheStats {
 // the cold response, for /v1/check (with and without iso) and
 // /v1/route, with X-Cache reporting what happened.
 func TestCacheHitBytesIdentical(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	for _, body := range []struct{ path, body string }{
 		{"/v1/check", `{"network":"omega","stages":5}`},
 		{"/v1/check", `{"network":"baseline","stages":5,"iso":true}`},
@@ -63,7 +64,7 @@ func TestCacheHitBytesIdentical(t *testing.T) {
 // not share an entry — the iso flag, the pair, and the network name all
 // participate in the key.
 func TestCacheKeyDiscriminates(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	plain := do(t, h, "POST", "/v1/check", `{"network":"omega","stages":4}`)
 	withIso := do(t, h, "POST", "/v1/check", `{"network":"omega","stages":4,"iso":true}`)
 	if withIso.Header().Get("X-Cache") != "MISS" {
@@ -86,7 +87,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 // defining the same wiring twice — same name, one time by catalog and
 // one time by explicit link permutations — hits the same entry.
 func TestCacheSharedAcrossSpecForms(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	cold := do(t, h, "POST", "/v1/check", `{"network":"omega","stages":3}`)
 	if cold.Header().Get("X-Cache") != "MISS" {
 		t.Fatal("first request should miss")
@@ -110,7 +111,7 @@ func TestCacheSharedAcrossSpecForms(t *testing.T) {
 // TestCacheEvictsAtBound: with capacity 2, a third distinct topology
 // evicts the least recently used entry.
 func TestCacheEvictsAtBound(t *testing.T) {
-	h := NewHandler(Config{CacheEntries: 2})
+	h := mustServer(t, Config{CacheEntries: 2}).handler()
 	req := func(name string, stages int) string {
 		return fmt.Sprintf(`{"network":%q,"stages":%d}`, name, stages)
 	}
@@ -133,7 +134,7 @@ func TestCacheEvictsAtBound(t *testing.T) {
 // TestCacheDisabled: negative CacheEntries turns caching off entirely;
 // the responses still work and stats stay zero.
 func TestCacheDisabled(t *testing.T) {
-	h := NewHandler(Config{CacheEntries: -1})
+	h := mustServer(t, Config{CacheEntries: -1}).handler()
 	body := `{"network":"omega","stages":4}`
 	first := do(t, h, "POST", "/v1/check", body)
 	second := do(t, h, "POST", "/v1/check", body)
@@ -154,7 +155,7 @@ func TestCacheDisabled(t *testing.T) {
 // TestCacheErrorsNotCached: failed builds and bad requests never enter
 // the cache.
 func TestCacheErrorsNotCached(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	bad := `{"network":"no-such-network","stages":4}`
 	if rec := do(t, h, "POST", "/v1/check", bad); rec.Code == http.StatusOK {
 		t.Fatal("bad network accepted")

@@ -16,8 +16,8 @@ import (
 
 // fuzzHandler serves with aggressive limits: bodies that decode must
 // still be cheap to execute.
-func fuzzHandler() http.Handler {
-	return NewHandler(Config{
+func fuzzHandler(tb testing.TB) http.Handler {
+	return mustServer(tb, Config{
 		MaxStages: 5,
 		MaxTrials: 50,
 		MaxCycles: 500,
@@ -25,7 +25,7 @@ func fuzzHandler() http.Handler {
 		// The cache would dedupe repeated fuzz inputs and hide decode
 		// work; disable it.
 		CacheEntries: -1,
-	})
+	}).handler()
 }
 
 func fuzzPost(t *testing.T, h http.Handler, path string, body []byte) {
@@ -56,7 +56,7 @@ func FuzzDecodeCheck(f *testing.F) {
 	f.Add([]byte(`{"stages":-1}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"network":"omega","stages":3}{"trailing":1}`))
-	h := fuzzHandler()
+	h := fuzzHandler(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzPost(t, h, "/v1/check", body)
 	})
@@ -73,7 +73,7 @@ func FuzzDecodeSimulate(f *testing.F) {
 	f.Add([]byte(`{"network":"omega","stages":3,"model":"buffered","waves":5}`))
 	f.Add([]byte(`{"model":42}`))
 	f.Add([]byte(`{}`))
-	h := fuzzHandler()
+	h := fuzzHandler(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzPost(t, h, "/v1/simulate", body)
 	})

@@ -64,23 +64,12 @@ func (s *server) checkJobSpec(spec jobs.Spec) error {
 	return nil
 }
 
-// handleJobSubmit is POST /v1/jobs (dispatched through handleWork, so
+// serveJobSubmit is POST /v1/jobs (dispatched through handleWork, so
 // submissions compete for admission slots with the synchronous work).
 // The spec body negotiates its codec like the other work endpoints;
 // the 202 status response stays JSON — submission is not a hot path,
 // and the Location header is the part a client machine-reads.
-func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	wi, err := s.negotiate(r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	body, release, err := s.readBody(w, r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	defer release()
+func (s *server) serveJobSubmit(w http.ResponseWriter, r *http.Request, wi wire, body []byte) {
 	var spec jobs.Spec
 	if err := decodeRequest(wi, body, &spec); err != nil {
 		writeErr(w, r, err)

@@ -20,7 +20,7 @@ import (
 
 // mustServer builds a white-box server and kills its job plane at test
 // end so no worker goroutines outlive the test.
-func mustServer(t *testing.T, cfg Config) *server {
+func mustServer(t testing.TB, cfg Config) *server {
 	t.Helper()
 	s, err := newServer(cfg)
 	if err != nil {

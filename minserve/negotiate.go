@@ -78,13 +78,13 @@ func decodeRequest(wi wire, body []byte, v any) error {
 	return nil
 }
 
-// renderFor picks the response renderer: the JSON encoder whose bytes
-// the golden tests pin, or the binary codec.
-func renderFor(wi wire) func(any) ([]byte, error) {
+// render encodes a response under the negotiated response codec: the
+// JSON encoder whose bytes the golden tests pin, or the binary codec.
+func render(wi wire, v any) ([]byte, error) {
 	if wi.respBin {
-		return codec.Encode
+		return codec.Encode(v)
 	}
-	return encodeJSON
+	return encodeJSON(v)
 }
 
 // rawEndpoint namespaces the response cache's raw-body lookaside by

@@ -38,7 +38,7 @@ func doWire(t *testing.T, h http.Handler, method, path, body, contentType, accep
 // on every work endpoint, and the error envelope is JSON even when the
 // client asked for binary.
 func TestUnsupportedMediaType(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	for _, path := range []string{"/v1/check", "/v1/route", "/v1/simulate", "/v1/batch", "/v1/jobs"} {
 		rec := doWire(t, h, "POST", path, `{}`, "text/xml", MediaTypeBinary)
 		if rec.Code != http.StatusUnsupportedMediaType {
@@ -71,7 +71,7 @@ func TestUnsupportedMediaType(t *testing.T) {
 // body answers exactly like its JSON twin, and a torn frame is a 400
 // bad_request, not a 5xx.
 func TestBinaryRequestDecode(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	jsonBody := `{"network":"omega","stages":4}`
 	want := do(t, h, "POST", "/v1/check", jsonBody).Body.String()
 
@@ -101,7 +101,7 @@ func TestBinaryRequestDecode(t *testing.T) {
 // the value the JSON response decodes to, on every negotiated
 // direction pair, for check, route and simulate.
 func TestCrossCodecParity(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	cases := []struct {
 		endpoint string
 		body     string
@@ -167,7 +167,7 @@ func TestCrossCodecParity(t *testing.T) {
 // codecs: the same raw request body served warm under Accept: binary
 // and then under JSON yields each codec's own bytes.
 func TestCacheCodecIsolation(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	body := `{"network":"omega","stages":5}`
 	// Warm the binary-response entry twice (miss, then raw-lookaside hit).
 	first := doWire(t, h, "POST", "/v1/check", body, "", MediaTypeBinary)
@@ -198,7 +198,7 @@ func TestCacheCodecIsolation(t *testing.T) {
 // sub-bodies staying JSON, and cache attribution matching the JSON
 // envelope's.
 func TestBatchBinary(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	checkJSON := `{"network":"omega","stages":3}`
 	simJSON := `{"network":"omega","stages":3,"waves":4,"seed":2}`
 	checkBin, err := EncodeBinaryRequest("check", []byte(checkJSON))
@@ -266,8 +266,8 @@ func TestBatchBinary(t *testing.T) {
 	// its spliced sub-bodies must match the all-JSON batch exactly.
 	// Fresh handlers on both sides so cache attribution starts equal.
 	jsonEnvelope := `{"requests":[{"op":"check","request":` + checkJSON + `},{"op":"simulate","request":` + simJSON + `}]}`
-	h = newTestHandler()
-	want := do(t, newTestHandler(), "POST", "/v1/batch", jsonEnvelope).Body.String()
+	h = newTestHandler(t)
+	want := do(t, newTestHandler(t), "POST", "/v1/batch", jsonEnvelope).Body.String()
 	req2 := codec.BatchRequest{Requests: []codec.BatchItem{
 		{Op: "check", Request: json.RawMessage(checkJSON)},
 		{Op: "simulate", Request: json.RawMessage(simJSON)},
@@ -383,7 +383,7 @@ func TestJobResultETag(t *testing.T) {
 
 // TestCodecMetrics pins the negotiation counters into /metrics.
 func TestCodecMetrics(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	doWire(t, h, "POST", "/v1/check", `{"network":"omega","stages":3}`, "", "")
 	bin, err := EncodeBinaryRequest("check", []byte(`{"network":"omega","stages":3}`))
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // load turns into fast, retryable rejections instead of a convoy of
 // slow requests that eventually time out client-side.
 //
-// GET endpoints (healthz, metrics, limits, networks, stats) bypass
+// GET endpoints (healthz, metrics, limits, networks, job reads) bypass
 // admission entirely: observability must stay reachable exactly when
 // the work plane is saturated.
 

@@ -13,8 +13,6 @@
 //	GET  /v1/networks   the catalog and the scenario registry
 //	GET  /v1/limits     every operator-configured request/serving limit
 //	GET  /v1/healthz    liveness: version, uptime, cache + serving stats
-//	GET  /v1/stats      deprecated alias for the cache counters (use
-//	                    /v1/healthz; responses carry a Deprecation header)
 //	GET  /metrics       Prometheus text exposition (version 0.0.4)
 //	POST /v1/check      characterization report (+ optional isomorphism)
 //	POST /v1/route      one routed path, with the tag schedule when PIPID
@@ -62,12 +60,10 @@
 // /v1/jobs/{id}/result transcodes the manifest to binary on Accept.
 // Error envelopes are always JSON.
 //
-// Errors use a structured envelope with stable machine-readable codes:
+// Errors use a structured envelope with stable machine-readable codes;
+// "error" is its only top-level key:
 //
-//	{"error":{"code":"bad_request","message":"...","status":400},"message":"..."}
-//
-// (the top-level "message" duplicates error.message for pre-0.7 clients
-// of the flat envelope and will be removed in the next release).
+//	{"error":{"code":"bad_request","message":"...","status":400}}
 //
 // /v1/check and /v1/route are served through a bounded LRU response
 // cache keyed by the network's canonical arc hash plus the request
@@ -92,6 +88,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -159,9 +156,6 @@ type Config struct {
 	// MaxJobCells caps the grid size (networks × loads × fault rates)
 	// of one submitted sweep. Default 256.
 	MaxJobCells int
-	// JobShardTrials is the default trials-per-shard granularity for
-	// specs that leave shardTrials unset. Default 2048.
-	JobShardTrials int
 }
 
 func (c Config) withDefaults() Config {
@@ -216,14 +210,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobCells <= 0 {
 		c.MaxJobCells = 256
 	}
-	if c.JobShardTrials <= 0 {
-		c.JobShardTrials = 2048
-	}
 	return c
 }
 
 // Version identifies the service build; /v1/healthz reports it.
-const Version = "0.9.0"
+const Version = "0.10.0"
 
 type server struct {
 	cfg     Config
@@ -242,11 +233,10 @@ func newServer(cfg Config) (*server, error) {
 		ttl = 0 // the manager's "keep forever"
 	}
 	jm, err := jobs.Open(jobs.Config{
-		Dir:         cfg.JobsDir,
-		Workers:     cfg.JobWorkers,
-		ShardTrials: cfg.JobShardTrials,
-		TTL:         ttl,
-		MaxActive:   cfg.MaxJobs,
+		Dir:       cfg.JobsDir,
+		Workers:   cfg.JobWorkers,
+		TTL:       ttl,
+		MaxActive: cfg.MaxJobs,
 	})
 	if err != nil {
 		return nil, err
@@ -270,7 +260,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /v1/networks", s.handleNetworks)
 	mux.HandleFunc("GET /v1/limits", s.handleLimits)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// Job reads are observability: registered directly (not through
 	// admit) so polling a running sweep can never be shed while the
@@ -290,29 +279,77 @@ func (s *server) handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// handleWork dispatches the admitted POST endpoints (they share one
-// admission wrapper so a batch and a single request compete for the
-// same slots).
+// handleWork serves the admitted POST endpoints. They share one
+// admission wrapper, so a batch and a single request compete for the
+// same slots, and the same first steps: negotiate the codecs, then read
+// the body. /v1/check, /v1/route and /v1/simulate are one operation
+// each, named by the path, and run through execOp exactly as a batch
+// item does.
 func (s *server) handleWork(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/v1/check":
-		s.handleCheck(w, r)
-	case "/v1/route":
-		s.handleRoute(w, r)
-	case "/v1/simulate":
-		s.handleSimulate(w, r)
-	case "/v1/batch":
-		s.handleBatch(w, r)
-	case "/v1/jobs":
-		s.handleJobSubmit(w, r)
+	wi, err := s.negotiate(r)
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	body, release, err := s.readBody(w, r)
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	defer release()
+	switch op := strings.TrimPrefix(r.URL.Path, "/v1/"); op {
+	case "batch":
+		s.serveBatch(w, r, wi, body)
+	case "jobs":
+		s.serveJobSubmit(w, r, wi, body)
 	default:
-		http.NotFound(w, r)
+		out, attr, err := s.execOp(r.Context(), op, wi, body)
+		if err != nil {
+			writeErr(w, r, err)
+			return
+		}
+		writeWireBytes(w, http.StatusOK, out, xCacheHeader(attr), wi.respBin)
 	}
 }
 
-// Server is the service plus its background job plane. Use New when
-// the process needs a graceful shutdown hook; NewHandler remains for
-// callers that only want the route table.
+// cacheAttr is one operation's cache attribution: codec.CacheHit or
+// codec.CacheMiss for check and route, codec.CacheNone for simulate,
+// for errors and when caching is disabled.
+type cacheAttr = uint8
+
+// execOp runs one work operation — a single POST or one batch item —
+// from its request bytes to the rendered response bytes (trailing
+// newline included on JSON) and their cache attribution. Both paths
+// call it, so a batch sub-response is byte-identical to the single
+// call's body.
+func (s *server) execOp(ctx context.Context, op string, wi wire, body []byte) ([]byte, cacheAttr, error) {
+	switch op {
+	case "check":
+		return s.execCheck(wi, body)
+	case "route":
+		return s.execRoute(wi, body)
+	case "simulate":
+		out, err := s.execSimulate(ctx, wi, body)
+		return out, codec.CacheNone, err
+	default:
+		return nil, codec.CacheNone, badRequest("unknown op %q (check, route or simulate)", op)
+	}
+}
+
+// xCacheHeader picks the X-Cache value; nil (no header) for ops
+// without an attribution.
+func xCacheHeader(attr cacheAttr) []string {
+	switch attr {
+	case codec.CacheHit:
+		return headerHit
+	case codec.CacheMiss:
+		return headerMiss
+	default:
+		return nil
+	}
+}
+
+// Server is the service plus its background job plane.
 type Server struct {
 	s *server
 }
@@ -336,18 +373,6 @@ func (sv *Server) Handler() http.Handler { return sv.s.handler() }
 // the stragglers are aborted — their shards simply re-run after the
 // next New on the same JobsDir. Idempotent.
 func (sv *Server) Close(ctx context.Context) error { return sv.s.jobs.Drain(ctx) }
-
-// NewHandler returns the service's HTTP handler. Zero-value Config
-// fields take the documented defaults. It panics if Config.JobsDir is
-// set but unusable; processes serving a checkpoint directory should
-// use New and handle the error (and get Close for graceful drains).
-func NewHandler(cfg Config) http.Handler {
-	s, err := newServer(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("minserve: opening job plane: %v", err))
-	}
-	return s.handler()
-}
 
 // bodyPool recycles the read buffers of the POST endpoints and the
 // batch/metrics render buffers: a warm hit needs the raw bytes only for
@@ -441,24 +466,15 @@ func (s *server) buildNetwork(spec networkSpec) (*min.Network, error) {
 	}
 }
 
-// networksResponse is the GET /v1/networks body. The limit fields are
-// deprecated aliases of GET /v1/limits, kept populated for one release.
+// networksResponse is the GET /v1/networks body; the limits that size
+// requests live at GET /v1/limits.
 type networksResponse struct {
 	Networks  []min.NetworkInfo  `json:"networks"`
 	Scenarios []min.ScenarioInfo `json:"scenarios"`
-	MaxStages int                `json:"maxStages"`
-	MaxTrials int                `json:"maxTrials"`
-	MaxCycles int                `json:"maxCycles"`
 }
 
 func (s *server) handleNetworks(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, networksResponse{
-		Networks:  min.Catalog(),
-		Scenarios: min.Scenarios(),
-		MaxStages: s.cfg.MaxStages,
-		MaxTrials: s.cfg.MaxTrials,
-		MaxCycles: s.cfg.MaxCycles,
-	})
+	writeJSON(w, http.StatusOK, networksResponse{Networks: min.Catalog(), Scenarios: min.Scenarios()})
 }
 
 // limitsResponse is the GET /v1/limits body: every operator-configured
@@ -499,33 +515,30 @@ func (s *server) handleLimits(w http.ResponseWriter, r *http.Request) {
 		RequestTimeoutMs: s.cfg.RequestTimeout.Milliseconds(),
 		MaxJobs:          s.cfg.MaxJobs,
 		MaxJobCells:      s.cfg.MaxJobCells,
-		JobShardTrials:   s.cfg.JobShardTrials,
+		JobShardTrials:   jobs.DefaultShardTrials,
 		JobTTLMs:         s.cfg.JobTTL.Milliseconds(),
 	})
 }
 
-// execCheck serves one /v1/check body to rendered response bytes
-// (trailing newline included on JSON), reporting whether the cache
-// answered. Both the single handler and the batch endpoint call it, so
-// a batch sub-response is byte-identical to the single call's body.
-func (s *server) execCheck(wi wire, body []byte) ([]byte, bool, error) {
+// execCheck is execOp's check operation, served through the response
+// cache.
+func (s *server) execCheck(wi wire, body []byte) ([]byte, cacheAttr, error) {
 	// Fast path: a byte-identical repeat of an earlier successful
 	// request replays its response straight from the raw lookaside,
 	// skipping the request decode, the network build and the key render.
 	// The lookaside namespace carries the codec pair, so a hit can only
 	// replay bytes rendered under the same response codec.
-	if s.cache != nil {
-		if cached, ok := s.cache.getRaw(rawEndpoint("check", wi), body); ok {
-			return cached, true, nil
-		}
+	raw := rawEndpoint("check", wi)
+	if out, ok := s.cache.getRaw(raw, body); ok {
+		return out, codec.CacheHit, nil
 	}
 	var req checkRequest
 	if err := decodeRequest(wi, body, &req); err != nil {
-		return nil, false, err
+		return nil, codec.CacheNone, err
 	}
 	nw, err := s.buildNetwork(req.NetworkSpec)
 	if err != nil {
-		return nil, false, err
+		return nil, codec.CacheNone, err
 	}
 	// Building the network is cheap; the characterization (and the
 	// isomorphism construction) is what the cache skips. The key folds
@@ -533,65 +546,34 @@ func (s *server) execCheck(wi wire, body []byte) ([]byte, bool, error) {
 	// hash), the reported name/size, the iso flag, and the response
 	// codec (the cached value is rendered bytes, not the struct).
 	key := fmt.Sprintf("check|%016x|%s|%d|iso=%t|bin=%t", nw.Fingerprint(), nw.Name(), nw.Stages(), req.Iso, wi.respBin)
-	return s.computeCached(key, rawEndpoint("check", wi), body, renderFor(wi), func() (any, error) {
-		resp := checkResponse{Report: min.Check(nw)}
-		if req.Iso && resp.Report.Equivalent {
-			iso, err := min.Iso(nw)
-			if err != nil {
-				return nil, err
-			}
-			resp.Iso = &iso
+	if out, ok := s.cache.get(key); ok {
+		return out, codec.CacheHit, nil
+	}
+	resp := checkResponse{Report: min.Check(nw)}
+	if req.Iso && resp.Report.Equivalent {
+		iso, err := min.Iso(nw)
+		if err != nil {
+			return nil, codec.CacheNone, err
 		}
-		return resp, nil
-	})
+		resp.Iso = &iso
+	}
+	return s.store(key, raw, body, wi, resp)
 }
 
-func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	wi, err := s.negotiate(r)
+// store renders a computed check or route response under the
+// negotiated codec and caches the bytes under key, raw-indexed by the
+// request body. Only successful responses reach it — errors stay
+// uncached.
+func (s *server) store(key, raw string, body []byte, wi wire, resp any) ([]byte, cacheAttr, error) {
+	out, err := render(wi, resp)
 	if err != nil {
-		writeErr(w, r, err)
-		return
+		return nil, codec.CacheNone, err
 	}
-	body, release, err := s.readBody(w, r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
+	if s.cache == nil {
+		return out, codec.CacheNone, nil
 	}
-	defer release()
-	resp, hit, err := s.execCheck(wi, body)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeWireBytes(w, http.StatusOK, resp, s.cacheHeader(hit), wi.respBin)
-}
-
-// cacheHeader picks the X-Cache value; nil (no header) when caching is
-// disabled.
-func (s *server) cacheHeader(hit bool) []string {
-	switch {
-	case s.cache == nil:
-		return nil
-	case hit:
-		return headerHit
-	default:
-		return headerMiss
-	}
-}
-
-// statsResponse is the GET /v1/stats body.
-type statsResponse struct {
-	Cache CacheStats `json:"cache"`
-}
-
-// handleStats is deprecated: the counters moved into GET /v1/healthz.
-// The path keeps serving for one release and announces its retirement
-// with a Deprecation header (draft-ietf-httpapi-deprecation-header)
-// pointing at the successor.
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/healthz>; rel="successor-version"`)
-	writeJSON(w, http.StatusOK, statsResponse{Cache: s.cache.stats()})
+	s.cache.put(key, raw, body, out)
+	return out, codec.CacheMiss, nil
 }
 
 // ServingStats is the admission/serving-plane snapshot reported by
@@ -644,28 +626,27 @@ func (s *server) checkFaults(p *min.FaultPlan) error {
 	return nil
 }
 
-// execRoute serves one /v1/route body to rendered response bytes; see
-// execCheck for the contract.
-func (s *server) execRoute(wi wire, body []byte) ([]byte, bool, error) {
-	if s.cache != nil {
-		if cached, ok := s.cache.getRaw(rawEndpoint("route", wi), body); ok {
-			return cached, true, nil
-		}
+// execRoute is execOp's route operation, served through the response
+// cache like execCheck.
+func (s *server) execRoute(wi wire, body []byte) ([]byte, cacheAttr, error) {
+	raw := rawEndpoint("route", wi)
+	if out, ok := s.cache.getRaw(raw, body); ok {
+		return out, codec.CacheHit, nil
 	}
 	var req routeRequest
 	if err := decodeRequest(wi, body, &req); err != nil {
-		return nil, false, err
+		return nil, codec.CacheNone, err
 	}
 	nw, err := s.buildNetwork(req.NetworkSpec)
 	if err != nil {
-		return nil, false, err
+		return nil, codec.CacheNone, err
 	}
 	if req.Src < 0 || req.Src >= nw.Terminals() || req.Dst < 0 || req.Dst >= nw.Terminals() {
-		return nil, false, badRequest("terminal out of range [0,%d): src=%d dst=%d",
+		return nil, codec.CacheNone, badRequest("terminal out of range [0,%d): src=%d dst=%d",
 			nw.Terminals(), req.Src, req.Dst)
 	}
 	if err := s.checkFaults(req.Faults); err != nil {
-		return nil, false, err
+		return nil, codec.CacheNone, err
 	}
 	// The body also carries the PIPID tag schedule, which depends on the
 	// construction's index permutations, not only on the arcs — fold
@@ -681,52 +662,33 @@ func (s *server) execRoute(wi wire, body []byte) ([]byte, bool, error) {
 	}
 	key := fmt.Sprintf("route|%016x|%s|%d|%v|%d>%d|faults=%+v|bin=%t",
 		nw.Fingerprint(), nw.Name(), nw.Stages(), thetas, req.Src, req.Dst, faults, wi.respBin)
-	return s.computeCached(key, rawEndpoint("route", wi), body, renderFor(wi), func() (any, error) {
-		if !faults.Empty() {
-			path, err := min.RouteUnderFaults(nw, req.Src, req.Dst, faults)
-			if err != nil {
-				return nil, err
-			}
-			// No tag schedule: a degraded fabric is routed by
-			// reachability, not stateless destination tags.
-			return routeResponse{Network: nw.Name(), Path: path}, nil
-		}
-		path, err := min.Route(nw, req.Src, req.Dst)
+	if out, ok := s.cache.get(key); ok {
+		return out, codec.CacheHit, nil
+	}
+	if !faults.Empty() {
+		path, err := min.RouteUnderFaults(nw, req.Src, req.Dst, faults)
 		if err != nil {
-			return nil, err
+			return nil, codec.CacheNone, err
 		}
-		resp := routeResponse{Network: nw.Name(), Path: path}
-		if tags, err := min.TagPositions(nw); err == nil {
-			resp.TagPositions = tags
-		}
-		return resp, nil
-	})
+		// No tag schedule: a degraded fabric is routed by
+		// reachability, not stateless destination tags.
+		return s.store(key, raw, body, wi, routeResponse{Network: nw.Name(), Path: path})
+	}
+	path, err := min.Route(nw, req.Src, req.Dst)
+	if err != nil {
+		return nil, codec.CacheNone, err
+	}
+	resp := routeResponse{Network: nw.Name(), Path: path}
+	if tags, err := min.TagPositions(nw); err == nil {
+		resp.TagPositions = tags
+	}
+	return s.store(key, raw, body, wi, resp)
 }
 
-func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	wi, err := s.negotiate(r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	body, release, err := s.readBody(w, r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	defer release()
-	resp, hit, err := s.execRoute(wi, body)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeWireBytes(w, http.StatusOK, resp, s.cacheHeader(hit), wi.respBin)
-}
-
-// execSimulate serves one /v1/simulate body to rendered response
-// bytes. Simulations are not cached (they are cheap to replay only for
-// the caller who knows the seed) but they are context-governed: ctx
-// cancellation stops the engine within one trial.
+// execSimulate is execOp's simulate operation. Simulations are not
+// cached (they are cheap to replay only for the caller who knows the
+// seed) but they are context-governed: ctx cancellation stops the
+// engine within one trial.
 func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -787,7 +749,7 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		return renderFor(wi)(simulateResponse{Model: "wave", Wave: &st})
+		return render(wi, simulateResponse{Model: "wave", Wave: &st})
 
 	case "buffered":
 		if req.Waves != 0 {
@@ -826,31 +788,11 @@ func (s *server) execSimulate(ctx context.Context, wi wire, body []byte) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		return renderFor(wi)(simulateResponse{Model: "buffered", Buffered: &st})
+		return render(wi, simulateResponse{Model: "buffered", Buffered: &st})
 
 	default:
 		return nil, badRequest("unknown model %q (wave or buffered)", req.Model)
 	}
-}
-
-func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	wi, err := s.negotiate(r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	body, release, err := s.readBody(w, r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	defer release()
-	resp, err := s.execSimulate(r.Context(), wi, body)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeWireBytes(w, http.StatusOK, resp, nil, wi.respBin)
 }
 
 // valueOr substitutes the default for an omitted (zero) request field.

@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-func newTestHandler() http.Handler {
-	return NewHandler(Config{})
+func newTestHandler(t testing.TB) http.Handler {
+	return mustServer(t, Config{}).handler()
 }
 
 func do(t *testing.T, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
@@ -30,7 +30,7 @@ func do(t *testing.T, h http.Handler, method, path, body string) *httptest.Respo
 }
 
 func TestNetworksEndpoint(t *testing.T) {
-	rec := do(t, newTestHandler(), "GET", "/v1/networks", "")
+	rec := do(t, newTestHandler(t), "GET", "/v1/networks", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -42,12 +42,11 @@ func TestNetworksEndpoint(t *testing.T) {
 		Scenarios []struct {
 			Name string `json:"name"`
 		} `json:"scenarios"`
-		MaxStages int `json:"maxStages"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Networks) != 6 || len(resp.Scenarios) != 9 || resp.MaxStages != 10 {
+	if len(resp.Networks) != 6 || len(resp.Scenarios) != 9 {
 		t.Fatalf("unexpected inventory: %+v", resp)
 	}
 	for _, nw := range resp.Networks {
@@ -56,7 +55,7 @@ func TestNetworksEndpoint(t *testing.T) {
 		}
 	}
 	// Method enforcement.
-	if rec := do(t, newTestHandler(), "POST", "/v1/networks", "{}"); rec.Code != http.StatusMethodNotAllowed {
+	if rec := do(t, newTestHandler(t), "POST", "/v1/networks", "{}"); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/networks: status %d", rec.Code)
 	}
 }
@@ -64,7 +63,7 @@ func TestNetworksEndpoint(t *testing.T) {
 // TestCheckGolden pins the exact JSON the service emits for a small
 // catalog check — the wire format is part of the API.
 func TestCheckGolden(t *testing.T) {
-	rec := do(t, newTestHandler(), "POST", "/v1/check", `{"network":"omega","stages":3}`)
+	rec := do(t, newTestHandler(t), "POST", "/v1/check", `{"network":"omega","stages":3}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -81,7 +80,7 @@ func TestCheckGolden(t *testing.T) {
 }
 
 func TestCheckVariants(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	// The counterexample: Banyan yes, equivalent no.
 	rec := do(t, h, "POST", "/v1/check", `{"network":"tail-cycle","stages":4}`)
 	var resp struct {
@@ -136,7 +135,7 @@ func TestCheckVariants(t *testing.T) {
 }
 
 func TestRouteEndpoint(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	rec := do(t, h, "POST", "/v1/route", `{"network":"omega","stages":4,"src":5,"dst":12}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
@@ -182,7 +181,7 @@ func TestRouteEndpoint(t *testing.T) {
 // TestSimulateDeterminism: the same request produces a byte-identical
 // response body — the service's reproducibility contract.
 func TestSimulateDeterminism(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	const body = `{"network":"omega","stages":5,"waves":80,"seed":7,"scenario":"transpose","load":0.8}`
 	first := do(t, h, "POST", "/v1/simulate", body)
 	if first.Code != http.StatusOK {
@@ -209,7 +208,7 @@ func TestSimulateDeterminism(t *testing.T) {
 }
 
 func TestSimulateBufferedEndpoint(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	rec := do(t, h, "POST", "/v1/simulate",
 		`{"network":"baseline","stages":4,"model":"buffered","load":0.7,"queue":3,"lanes":2,`+
 			`"cycles":300,"warmup":30,"replications":2,"seed":3,"arbiter":"roundrobin","laneSelect":"bydst"}`)
@@ -253,7 +252,7 @@ func TestSimulateBufferedEndpoint(t *testing.T) {
 // TestSimulateCancellation: a client that disconnects mid-simulation
 // stops the engine within one trial instead of burning the full run.
 func TestSimulateCancellation(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	body := `{"network":"omega","stages":10,"model":"buffered","replications":100000,` +
 		`"cycles":1999,"warmup":1,"load":1.0}`
@@ -287,7 +286,7 @@ func TestSimulateCancellation(t *testing.T) {
 // default cannot be slipped past by leaving the field out, and
 // negative fields cannot wrap the sum.
 func TestLimitsCoverDefaults(t *testing.T) {
-	h := NewHandler(Config{MaxCycles: 1000})
+	h := mustServer(t, Config{MaxCycles: 1000}).handler()
 	for _, bad := range []string{
 		`{"network":"omega","stages":4,"model":"buffered"}`,                            // defaults 5000+500 > 1000
 		`{"network":"omega","stages":4,"model":"buffered","cycles":900,"warmup":-500}`, // negative field
@@ -307,7 +306,7 @@ func TestLimitsCoverDefaults(t *testing.T) {
 }
 
 func TestBodyLimit(t *testing.T) {
-	h := NewHandler(Config{MaxBodyBytes: 64})
+	h := mustServer(t, Config{MaxBodyBytes: 64}).handler()
 	big := `{"network":"omega","stages":4,"linkPerms":[` + strings.Repeat("[0],", 100) + `[0]]}`
 	rec := do(t, h, "POST", "/v1/check", big)
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -339,7 +338,7 @@ func TestHealthzGolden(t *testing.T) {
 		t.Errorf("healthz cache snapshot stale: %s", rec.Body)
 	}
 	// Method enforcement.
-	if rec := do(t, newTestHandler(), "POST", "/v1/healthz", "{}"); rec.Code != http.StatusMethodNotAllowed {
+	if rec := do(t, newTestHandler(t), "POST", "/v1/healthz", "{}"); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/healthz: status %d", rec.Code)
 	}
 }
@@ -348,7 +347,7 @@ func TestHealthzGolden(t *testing.T) {
 // fabric, misses the tag schedule, keys the cache separately from the
 // intact route, and rejects random rates and oversized fault lists.
 func TestRouteWithFaults(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	intact := do(t, h, "POST", "/v1/route", `{"network":"omega","stages":4,"src":5,"dst":12}`)
 	if intact.Code != http.StatusOK {
 		t.Fatalf("intact: status %d: %s", intact.Code, intact.Body)
@@ -386,7 +385,7 @@ func TestRouteWithFaults(t *testing.T) {
 		t.Errorf("random rates on route: status %d", rec.Code)
 	}
 	// Oversized fault lists are capped.
-	hCapped := NewHandler(Config{MaxFaults: 1})
+	hCapped := mustServer(t, Config{MaxFaults: 1}).handler()
 	rec = do(t, hCapped, "POST", "/v1/route",
 		`{"network":"omega","stages":4,"src":5,"dst":12,"faults":{"faults":[`+
 			`{"kind":"link-down","stage":0,"link":0},{"kind":"link-down","stage":0,"link":1}]}}`)
@@ -398,7 +397,7 @@ func TestRouteWithFaults(t *testing.T) {
 // TestSimulateWithFaults: the faults field degrades the simulation
 // deterministically and invalid plans are 400s.
 func TestSimulateWithFaults(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	const intactBody = `{"network":"omega","stages":5,"waves":60,"seed":7}`
 	const faultyBody = `{"network":"omega","stages":5,"waves":60,"seed":7,` +
 		`"faults":{"switchDeadRate":0.05,"linkDownRate":0.02}}`
@@ -439,7 +438,7 @@ func TestSimulateWithFaults(t *testing.T) {
 }
 
 func TestSimulateKernelField(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	const body = `{"network":"omega","stages":5,"waves":100,"seed":3,"kernel":%q}`
 	base := do(t, h, "POST", "/v1/simulate", fmt.Sprintf(body, "scalar"))
 	if base.Code != http.StatusOK {

@@ -20,7 +20,6 @@ type wireError struct {
 		Message string `json:"message"`
 		Status  int    `json:"status"`
 	} `json:"error"`
-	Message string `json:"message"`
 }
 
 func decodeErrBody(t *testing.T, rec *httptest.ResponseRecorder) wireError {
@@ -35,7 +34,7 @@ func decodeErrBody(t *testing.T, rec *httptest.ResponseRecorder) wireError {
 // TestErrorCodesGolden pins every stable error code to a concrete
 // trigger: the codes are API, clients switch on them.
 func TestErrorCodesGolden(t *testing.T) {
-	h := NewHandler(Config{MaxTrials: 50})
+	h := mustServer(t, Config{MaxTrials: 50}).handler()
 	cases := []struct {
 		name, path, body string
 		status           int
@@ -68,10 +67,8 @@ func TestErrorCodesGolden(t *testing.T) {
 			if we.Error.Status != tc.status {
 				t.Errorf("envelope status %d want %d", we.Error.Status, tc.status)
 			}
-			// Deprecated compatibility: the flat message mirrors the
-			// structured one for one release.
-			if we.Message == "" || we.Message != we.Error.Message {
-				t.Errorf("legacy message %q != error.message %q", we.Message, we.Error.Message)
+			if we.Error.Message == "" {
+				t.Errorf("envelope has no message: %s", rec.Body)
 			}
 		})
 	}
@@ -79,7 +76,7 @@ func TestErrorCodesGolden(t *testing.T) {
 
 // TestErrorCode413 pins the oversized-body path to limit_exceeded.
 func TestErrorCode413(t *testing.T) {
-	h := NewHandler(Config{MaxBodyBytes: 64})
+	h := mustServer(t, Config{MaxBodyBytes: 64}).handler()
 	big := `{"network":"omega","stages":3,"x":"` + strings.Repeat("a", 200) + `"}`
 	rec := do(t, h, "POST", "/v1/check", big)
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -90,15 +87,15 @@ func TestErrorCode413(t *testing.T) {
 	}
 }
 
-// --- /v1/limits and /v1/stats deprecation --------------------------
+// --- /v1/limits and retired surfaces -------------------------------
 
 // TestLimitsGolden pins the limits body byte-for-byte (explicit config
 // so GOMAXPROCS never leaks into the golden).
 func TestLimitsGolden(t *testing.T) {
-	h := NewHandler(Config{
+	h := mustServer(t, Config{
 		MaxWorkers: 4, MaxConcurrent: 8,
 		QueueWait: 2 * time.Second, RequestTimeout: 30 * time.Second,
-	})
+	}).handler()
 	rec := do(t, h, "GET", "/v1/limits", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
@@ -113,21 +110,30 @@ func TestLimitsGolden(t *testing.T) {
 	}
 }
 
-func TestStatsDeprecated(t *testing.T) {
-	rec := do(t, newTestHandler(), "GET", "/v1/stats", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
+// TestRetiredSurfaces pins the removals of 0.10: GET /v1/stats is gone
+// (its counters live in the /v1/healthz cache block), the error
+// envelope's only top-level key is "error", and /v1/networks carries
+// no limit fields (GET /v1/limits does).
+func TestRetiredSurfaces(t *testing.T) {
+	h := newTestHandler(t)
+	if rec := do(t, h, "GET", "/v1/stats", ""); rec.Code != http.StatusNotFound {
+		t.Errorf("GET /v1/stats: status %d, want 404", rec.Code)
 	}
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Errorf("missing Deprecation header")
+	rec := do(t, h, "POST", "/v1/check", `{"network":"nope","stages":4}`)
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
 	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/v1/healthz") {
-		t.Errorf("Link header %q does not name the successor", link)
+	if _, ok := env["error"]; !ok || len(env) != 1 {
+		t.Errorf("error envelope keys: want only \"error\": %s", rec.Body)
 	}
-	// healthz carries the same cache counters plus the serving block.
-	rec = do(t, newTestHandler(), "GET", "/v1/healthz", "")
-	if !strings.Contains(rec.Body.String(), `"serving":`) {
-		t.Errorf("healthz lacks serving block: %s", rec.Body)
+	rec = do(t, h, "GET", "/v1/networks", "")
+	var networks map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &networks); err != nil {
+		t.Fatal(err)
+	}
+	if len(networks) != 2 || networks["networks"] == nil || networks["scenarios"] == nil {
+		t.Errorf("/v1/networks keys: want networks and scenarios only: %s", rec.Body)
 	}
 }
 
@@ -173,7 +179,7 @@ func TestBatchByteIdentity(t *testing.T) {
 		{"check", `{"network":"tail-cycle","stages":4}`},
 	}
 	// Reference bodies from a fresh server (all cold misses).
-	singles := singleBodies(t, newTestHandler(), items)
+	singles := singleBodies(t, newTestHandler(t), items)
 
 	// The batch on another fresh server: same cache state, so the
 	// envelope is fully predictable.
@@ -190,7 +196,7 @@ func TestBatchByteIdentity(t *testing.T) {
 	}
 	expect += "]}\n"
 
-	rec := do(t, newTestHandler(), "POST", "/v1/batch", batchBody(items))
+	rec := do(t, newTestHandler(t), "POST", "/v1/batch", batchBody(items))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
 	}
@@ -200,7 +206,7 @@ func TestBatchByteIdentity(t *testing.T) {
 
 	// Determinism: replaying the identical batch yields an identical
 	// envelope except for miss->hit attribution on the cached ops.
-	rec2 := do(t, newTestHandler(), "POST", "/v1/batch", batchBody(items))
+	rec2 := do(t, newTestHandler(t), "POST", "/v1/batch", batchBody(items))
 	if rec2.Body.String() != rec.Body.String() {
 		t.Errorf("cold batch not deterministic across fresh servers")
 	}
@@ -209,7 +215,7 @@ func TestBatchByteIdentity(t *testing.T) {
 // TestBatchCacheAttribution: per-item cache fields report exactly what
 // X-Cache would have, and batch items share the cache with singles.
 func TestBatchCacheAttribution(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	check := `{"network":"omega","stages":3}`
 	// Warm via a single call...
 	do(t, h, "POST", "/v1/check", check)
@@ -253,7 +259,7 @@ func TestBatchErrorsPositional(t *testing.T) {
 		{"frobnicate", `{}`},
 		{"check", `{"network":"omega","stages":11}`},
 	}
-	rec := do(t, newTestHandler(), "POST", "/v1/batch", batchBody(items))
+	rec := do(t, newTestHandler(t), "POST", "/v1/batch", batchBody(items))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
 	}
@@ -284,7 +290,7 @@ func TestBatchErrorsPositional(t *testing.T) {
 
 // TestBatchTooLarge pins the batch size cap to limit_exceeded.
 func TestBatchTooLarge(t *testing.T) {
-	h := NewHandler(Config{MaxBatch: 2})
+	h := mustServer(t, Config{MaxBatch: 2}).handler()
 	items := [][2]string{
 		{"check", `{"network":"omega","stages":3}`},
 		{"check", `{"network":"omega","stages":4}`},
@@ -302,7 +308,7 @@ func TestBatchTooLarge(t *testing.T) {
 // TestBatchMidCancellation: a client vanishing mid-batch stops the work
 // within one sub-request and writes nothing.
 func TestBatchMidCancellation(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	items := [][2]string{
 		{"check", `{"network":"omega","stages":3}`},
 		{"simulate", `{"network":"indirect-binary-cube","stages":10,"waves":100000,"workers":1}`},
@@ -333,7 +339,7 @@ func TestBatchMidCancellation(t *testing.T) {
 // TestMetricsExposition drives traffic, then checks the exposition is
 // lint-clean and carries the promised families with sane values.
 func TestMetricsExposition(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	do(t, h, "POST", "/v1/check", `{"network":"omega","stages":3}`)
 	do(t, h, "POST", "/v1/check", `{"network":"omega","stages":3}`) // warm hit
 	do(t, h, "POST", "/v1/check", `{"network":"nope","stages":3}`)  // 400
@@ -389,7 +395,7 @@ func TestLintExpositionRejects(t *testing.T) {
 // TestDisconnectCounts499: a client that vanishes mid-simulate is
 // recorded as a 499, not a 4xx/5xx.
 func TestDisconnectCounts499(t *testing.T) {
-	h := newTestHandler()
+	h := newTestHandler(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	body := `{"network":"indirect-binary-cube","stages":10,"waves":100000,"workers":1}`
 	req := httptest.NewRequest("POST", "/v1/simulate", strings.NewReader(body)).WithContext(ctx)
@@ -519,7 +525,7 @@ func TestQueueWaitShedding(t *testing.T) {
 // TestRequestDeadline: the per-request timeout fails slow work with a
 // diagnosable 503 deadline_exceeded.
 func TestRequestDeadline(t *testing.T) {
-	h := NewHandler(Config{RequestTimeout: 50 * time.Millisecond})
+	h := mustServer(t, Config{RequestTimeout: 50 * time.Millisecond}).handler()
 	slow := `{"network":"indirect-binary-cube","stages":10,"waves":100000,"workers":1}`
 	rec := do(t, h, "POST", "/v1/simulate", slow)
 	if rec.Code != http.StatusServiceUnavailable {
