@@ -434,6 +434,41 @@ func BenchmarkFabricKernel(b *testing.B) {
 	})
 }
 
+// BenchmarkFabricCompile times what a cold simulate pays before its
+// first wave: a cold sim.NewFabric at n=6, 8 and 10 (the reach/port
+// planes), and separately the first NewBitWaveRunner on a fresh n=10
+// fabric, which builds the path-tag table only runs of at least one
+// whole 64-wave batch need.
+func BenchmarkFabricCompile(b *testing.B) {
+	for _, n := range []int{6, 8, 10} {
+		perms := topology.MustBuild(topology.NameOmega, n).LinkPerms
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := sim.NewFabric(perms)
+				if err != nil || !f.BitSliceable() {
+					b.Fatalf("NewFabric: %v", err)
+				}
+			}
+		})
+	}
+	b.Run("bittables/n=10", func(b *testing.B) {
+		perms := topology.MustBuild(topology.NameOmega, 10).LinkPerms
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			f, err := sim.NewFabric(perms)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := f.NewBitWaveRunner(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkFaultedWaveLoop pins the degraded hot path: the steady-state
 // wave loop with a per-wave fault resample (exactly what the engine
 // does per trial, minus the per-trial rng derivation). Must stay

@@ -43,7 +43,8 @@ type Config struct {
 
 	// Kernel selects the unbuffered executor (see the Kernel type); the
 	// zero value KernelAuto uses the bit-sliced kernel whenever the
-	// fabric qualifies. Results never depend on the choice.
+	// fabric qualifies and the run fills a 64-wave batch. Results never
+	// depend on the choice.
 	Kernel Kernel
 }
 
@@ -154,7 +155,9 @@ func RunWaves(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int
 	useBit := false
 	switch cfg.Kernel {
 	case KernelAuto:
-		useBit = f.BitSliceable()
+		// Fewer than 64 waves never fill a bit-sliced batch: run them
+		// scalar and leave the fabric's bit tables unbuilt.
+		useBit = waves >= 64 && f.BitSliceable()
 	case KernelScalar:
 	case KernelBit:
 		if !f.BitSliceable() {
@@ -362,7 +365,7 @@ type BufferedStats struct {
 // loop allocates nothing; per trial only the derived rng is allocated.
 // Trial t always uses the stream NewRand(cfg.Seed, t) and reduction is
 // by trial index, keeping the aggregates byte-identical for any worker
-// count. Cancelling ctx aborts the run within one replication and
+// count. Cancelling ctx aborts the run within one simulated cycle and
 // returns ctx.Err().
 func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps int, cfg Config) (BufferedStats, error) {
 	if reps <= 0 {
@@ -409,7 +412,10 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 			if resample {
 				sc.faults.Resample(*plan, NewFaultRand(cfg.Seed, uint64(t)))
 			}
-			res := sc.runner.Run(NewRand(cfg.Seed, uint64(t)))
+			res, err := sc.runner.RunContext(ctx, NewRand(cfg.Seed, uint64(t)))
+			if err != nil {
+				return err
+			}
 			copy(occ[t*f.Spans:(t+1)*f.Spans], res.StageOccupancy)
 			res.StageOccupancy = nil
 			results[t] = res

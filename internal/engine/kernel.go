@@ -13,7 +13,8 @@ type Kernel uint8
 
 const (
 	// KernelAuto picks the bit-sliced kernel whenever the fabric
-	// qualifies (Fabric.BitSliceable) and falls back to scalar. The
+	// qualifies (Fabric.BitSliceable) and the run fills at least one
+	// whole 64-wave batch, and falls back to scalar otherwise. The
 	// default: zero value, zero configuration.
 	KernelAuto Kernel = iota
 	// KernelScalar forces the one-packet-at-a-time kernel (the oracle

@@ -110,3 +110,58 @@ func TestKernelBitRejectsScalarOnlyFabric(t *testing.T) {
 		t.Fatal("unknown kernel value: no error")
 	}
 }
+
+// TestAutoKernelLazyBitTables: under KernelAuto a run that cannot fill
+// one 64-trial batch takes the scalar path and leaves the fabric's bit
+// tables unbuilt; the first run that can fill one builds them while
+// its workers race to create bit runners (run under -race). Results
+// match the scalar kernel either way.
+func TestAutoKernelLazyBitTables(t *testing.T) {
+	ctx := context.Background()
+	f := fabricFor(t, topology.NameOmega, 6)
+	tr := sim.Bernoulli(0.8)
+	for _, waves := range []int{1, 32, 63} {
+		auto, err := RunWaves(ctx, f, tr, waves, Config{Workers: 3, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar, err := RunWaves(ctx, f, tr, waves, Config{Workers: 3, Seed: 9, Kernel: KernelScalar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auto != scalar {
+			t.Fatalf("%d waves: auto %+v != scalar %+v", waves, auto, scalar)
+		}
+	}
+	for _, r := range [][2]int{{0, 1}, {5, 68}, {100, 132}} {
+		auto, err := RunWaveRange(ctx, f, tr, r[0], r[1], Config{Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar, err := RunWaveRange(ctx, f, tr, r[0], r[1], Config{Seed: 9, Kernel: KernelScalar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auto != scalar {
+			t.Fatalf("range %v: auto %+v != scalar %+v", r, auto, scalar)
+		}
+	}
+	if f.BitTablesBuilt() {
+		t.Fatal("runs shorter than one 64-trial batch built the bit tables")
+	}
+	const waves = 4 * 64
+	auto, err := RunWaves(ctx, f, tr, waves, Config{Workers: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.BitTablesBuilt() {
+		t.Fatal("a 256-wave auto run did not build the bit tables")
+	}
+	scalar, err := RunWaves(ctx, f, tr, waves, Config{Workers: 4, Seed: 9, Kernel: KernelScalar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto != scalar {
+		t.Fatalf("%d waves: auto %+v != scalar %+v", waves, auto, scalar)
+	}
+}

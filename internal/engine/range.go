@@ -136,7 +136,9 @@ func RunWaveRange(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, lo, h
 	useBit := false
 	switch cfg.Kernel {
 	case KernelAuto:
-		useBit = f.BitSliceable()
+		// As in RunWaves: a range shorter than one 64-trial batch runs
+		// scalar and never builds the fabric's bit tables.
+		useBit = hi-lo >= 64 && f.BitSliceable()
 	case KernelScalar:
 	case KernelBit:
 		if !f.BitSliceable() {

@@ -20,11 +20,12 @@ type Runner func(ctx context.Context, cell Cell, lo, hi int) (engine.WavePartial
 
 // fabricCache memoizes compiled fabrics per (network, stages): every
 // shard of a cell — and every cell sharing a topology — reuses one
-// compiled link table instead of rebuilding it per shard. The mutex
-// guards only the key table; each key compiles once under its own
-// sync.OnceValues, so a cold compile (tens of milliseconds at n=10)
-// stalls only the shards that need that fabric, never those of other
-// topologies.
+// fabric. Compiling itself is cheap (under a millisecond at n=10); what
+// sharing amortizes is the bit kernel's path-tag table (a few
+// milliseconds and 2 MiB at n=10), which a fabric builds lazily on its
+// first bit runner and then lends to every shard. The mutex guards
+// only the key table; each key compiles once under its own
+// sync.OnceValues, so no compile ever runs under the mutex.
 type fabricCache struct {
 	mu sync.Mutex
 	m  map[string]func() (*sim.Fabric, error)

@@ -19,10 +19,11 @@ import (
 // construction, not by luck; three contracts make that hold:
 //
 //  1. Tag planes. BitSliceable fabrics are Banyan (unique-path), so a
-//     packet's whole port schedule is the compiled Fabric.pathTag of
-//     its (src, dst) pair — bit s of the tag is the port the scalar
-//     tables steer at stage s. Plane tag[s] carries that bit for every
-//     in-flight lane, indexed by current inlink.
+//     packet's whole port schedule is the Fabric.pathTag of its
+//     (src, dst) pair, built on the fabric's first NewBitWaveRunner —
+//     bit s of the tag is the port the scalar planes steer at stage
+//     s. Plane tag[s] carries that bit for every in-flight lane,
+//     indexed by current inlink.
 //  2. Salt tie-breaks. Conflicts are strictly between the two inlinks
 //     of one cell, so one salt bit per (stage, cell) — drawn as
 //     ceil(H/64) uint64 words per stage from the wave's own rng, the
@@ -198,11 +199,14 @@ type BitWaveRunner struct {
 }
 
 // NewBitWaveRunner returns a bit-sliced runner for f, or an error when
-// the fabric does not qualify (see Fabric.BitSliceable).
+// the fabric does not qualify (see Fabric.BitSliceable). The first call
+// on a fabric builds its path tags (O(N^2) time, 2*N^2 bytes); later
+// calls, concurrent ones included, share them.
 func (f *Fabric) NewBitWaveRunner() (*BitWaveRunner, error) {
 	if !f.BitSliceable() {
 		return nil, fmt.Errorf("sim: fabric is not bit-sliceable (kernel needs Banyan reachability and <= 16 stages)")
 	}
+	f.bitTables()
 	r := &BitWaveRunner{
 		f:         f,
 		tag:       make([][]uint64, f.Spans),

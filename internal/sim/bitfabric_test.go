@@ -361,11 +361,14 @@ func TestBitSteerSweepDeterministic(t *testing.T) {
 	}
 }
 
+// fuzzFabric is a bit-sliceable fabric whose path tags are built up
+// front: the fuzz target reads pathTag directly, without a runner.
 var fuzzFabric = sync.OnceValue(func() *Fabric {
 	f, err := NewFabric(topology.MustBuild(topology.NameOmega, 4).LinkPerms)
 	if err != nil {
 		panic(err)
 	}
+	f.bitTables()
 	return f
 })
 

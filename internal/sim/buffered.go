@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 )
@@ -330,7 +331,16 @@ func (r *BufferedRunner) pickLane(s, port, dst int, rng *rand.Rand) int {
 // call is an independent sample path of the given rng. The returned
 // result's StageOccupancy aliases runner-owned storage.
 func (r *BufferedRunner) Run(rng *rand.Rand) BufferedResult {
+	res, _ := r.RunContext(context.Background(), rng) // Background never cancels
+	return res
+}
+
+// RunContext is Run that gives up between cycles once ctx is done,
+// returning ctx.Err() and no result. One replication of a large fabric
+// can run for seconds, so a cancelled caller must not wait it out.
+func (r *BufferedRunner) RunContext(ctx context.Context, rng *rand.Rand) (BufferedResult, error) {
 	f, cfg := r.f, r.cfg
+	done := ctx.Done()
 	// Derive the injection stream from the trial rng's first two words,
 	// then never touch it from the service phase: offered traffic is a
 	// pure function of the trial seed (see the injRng field comment).
@@ -353,6 +363,11 @@ func (r *BufferedRunner) Run(rng *rand.Rand) BufferedResult {
 	var latSum float64
 	total := cfg.Warmup + cfg.Cycles
 	for cycle := 0; cycle < total; cycle++ {
+		select {
+		case <-done:
+			return BufferedResult{}, ctx.Err()
+		default:
+		}
 		measuring := cycle >= cfg.Warmup
 		// Service stages from the last to the first.
 		for s := f.Spans - 1; s >= 0; s-- {
@@ -404,7 +419,7 @@ func (r *BufferedRunner) Run(rng *rand.Rand) BufferedResult {
 		res.P99 = r.percentile(res.Delivered, 0.99)
 	}
 	res.Throughput = float64(res.Delivered) / float64(cfg.Cycles) / float64(f.N)
-	return res
+	return res, nil
 }
 
 // serviceCell moves up to one packet per output port of one switch.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -28,6 +30,34 @@ func TestBufferedRunnerMatchesOneShot(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("trial %d: reused runner diverged from one-shot:\n%+v\n%+v", trial, a, b)
 		}
+	}
+}
+
+// TestBufferedRunContextCancel: a done context stops a replication at
+// the next cycle boundary with ctx.Err(), and the runner's next
+// replication is unaffected (every run resets all state).
+func TestBufferedRunContextCancel(t *testing.T) {
+	f := fabricFor(t, topology.NameOmega, 4)
+	cfg := BufferedConfig{Load: 0.8, Queue: 2, Cycles: 400, Warmup: 40}
+	runner, err := f.NewBufferedRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := runner.RunContext(ctx, rand.New(rand.NewPCG(1, 7))); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunContext: err = %v, want context.Canceled", err)
+	}
+	got, err := runner.RunContext(context.Background(), rand.New(rand.NewPCG(2, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.RunBuffered(cfg, rand.New(rand.NewPCG(2, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run after a cancelled one diverged:\n%+v\n%+v", got, want)
 	}
 }
 

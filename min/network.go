@@ -249,7 +249,7 @@ func (nw *Network) Fingerprint() uint64 {
 	return hash
 }
 
-// compiledFabric lazily compiles the simulation fabric (routing tables)
+// compiledFabric lazily compiles the simulation fabric (reach/port planes)
 // once per Network.
 func (nw *Network) compiledFabric() (*sim.Fabric, error) {
 	nw.fabricOnce.Do(func() {

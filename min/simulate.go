@@ -90,7 +90,8 @@ type Kernel string
 const (
 	// KernelAuto (the default) uses the bit-sliced kernel whenever the
 	// network qualifies (Banyan unique-path wiring, at most 16 stages;
-	// all six of the paper's networks do) and falls back to scalar.
+	// all six of the paper's networks do) and the run has at least 64
+	// waves, one whole bit-sliced batch, and falls back to scalar.
 	KernelAuto Kernel = "auto"
 	// KernelScalar forces the one-packet-at-a-time reference kernel.
 	KernelScalar Kernel = "scalar"
@@ -324,7 +325,8 @@ func Simulate(ctx context.Context, nw *Network, opts ...Option) (WaveStats, erro
 // forward model: every switch input port holds one or more FIFO lanes,
 // contended outputs are arbitrated, backpressure stalls full queues,
 // and per-replication throughput/latency statistics are aggregated.
-// Cancelling ctx aborts within one replication and returns ctx.Err().
+// Cancelling ctx aborts within one simulated cycle and returns
+// ctx.Err().
 func SimulateBuffered(ctx context.Context, nw *Network, opts ...Option) (BufferedStats, error) {
 	o := applyOptions(opts)
 	if len(o.waveOnly) > 0 {
