@@ -150,8 +150,10 @@ func TestDifferentialSimulate(t *testing.T) {
 }
 
 // TestDifferentialJobCells: every /v1/jobs cell reports the integer
-// counts min.Simulate gives when run with that cell's root seed
-// engine.SeedPair(spec.Seed, cellIdx) and its load.
+// counts and the throughput statistic min.Simulate gives when run with
+// that cell's root seed engine.SeedPair(spec.Seed, cellIdx) and its
+// load. Both surfaces finalize the same exact partial sums, so Std and
+// CI95 must agree bit for bit, not just to float tolerance.
 func TestDifferentialJobCells(t *testing.T) {
 	h := newService(t)
 	spec := fmt.Sprintf(`{"networks":["%s","%s"],"stages":%d,"loads":[%g,%g],"faultRates":[%g,%g],"trialsPerCell":%d,"seed":%d}`,
@@ -191,6 +193,10 @@ func TestDifferentialJobCells(t *testing.T) {
 		if got != exp {
 			t.Errorf("cell %d (%s load=%g faults=%g): job counts %v, min.Simulate %v (offered, delivered, dropped, misrouted, faultDropped)",
 				c, cell.Network, cell.Load, cell.FaultRate, got, exp)
+		}
+		if min.Stat(cell.Throughput) != direct.Throughput {
+			t.Errorf("cell %d (%s load=%g faults=%g): job throughput %+v, min.Simulate %+v",
+				c, cell.Network, cell.Load, cell.FaultRate, cell.Throughput, direct.Throughput)
 		}
 	}
 }

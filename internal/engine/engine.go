@@ -5,22 +5,25 @@
 // scratch state, and aggregates delivered/dropped/latency statistics
 // with means and confidence intervals.
 //
-// Determinism is the core contract: trial t always runs with the rng
-// NewRand(seed, t) and per-trial results are stored by index, then
-// reduced sequentially in index order. Aggregate statistics are
-// therefore byte-identical for any worker count, which is what makes
-// parallel runs trustworthy replacements for the old sequential loops.
-// Fault injection obeys the same discipline: a Config.Faults plan is
-// resampled per trial from the decorrelated stream NewFaultRand(seed, t)
-// into worker-owned FaultStates, so degraded runs are reproducible from
+// Determinism is the core contract: trial t always runs with the
+// stream NewRand(seed, t), whichever worker and kernel run it. Wave
+// runs have one executor (waveExec): RunWaveRange runs one range of
+// trials on it, and RunWaves shards a run over workers that each fold
+// their trials into their own exact integer WavePartial, merged at the
+// end. Integer sums make the merge order-free, so aggregates are
+// byte-identical for any worker count, kernel or split into ranges —
+// which is what makes parallel runs and resumed job sweeps trustworthy
+// replacements for one sequential loop. Buffered replications are
+// stored by trial index and reduced in index order. Fault injection
+// obeys the same discipline: a Config.Faults plan is resampled per
+// trial from the decorrelated stream NewFaultRand(seed, t) into
+// worker-owned FaultStates, so degraded runs are reproducible from
 // (seed, plan) alone and never perturb the traffic streams.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -67,13 +70,14 @@ func (c Config) workers(trials int) int {
 	return w
 }
 
-// shard runs fn(t) for every t in [0, trials) across the configured
-// worker count, each worker claiming trial indices from a shared atomic
-// counter. fn must write its result into per-index storage; the first
-// error aborts remaining trials. Cancelling ctx stops every worker at
-// its next trial boundary (a single trial is never interrupted
-// mid-flight) and ctx.Err() is returned.
-func shard(ctx context.Context, cfg Config, trials int, scratch func() any, fn func(t int, scratch any) error) error {
+// shard runs fn(t) for every t in [0, trials) across cfg.workers(trials)
+// workers, each worker claiming trial indices from a shared atomic
+// counter after building its scratch with scratch(wk), wk its index in
+// [0, cfg.workers(trials)). fn must write its result into per-index or
+// per-worker storage; the first error aborts remaining trials. Cancelling ctx
+// stops every worker at its next trial boundary (a single trial is
+// never interrupted mid-flight) and ctx.Err() is returned.
+func shard(ctx context.Context, cfg Config, trials int, scratch func(wk int) any, fn func(t int, scratch any) error) error {
 	nw := cfg.workers(trials)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -83,7 +87,7 @@ func shard(ctx context.Context, cfg Config, trials int, scratch func() any, fn f
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			sc := scratch()
+			sc := scratch(wk)
 			for !failed.Load() {
 				if ctx.Err() != nil {
 					return
@@ -109,232 +113,57 @@ func shard(ctx context.Context, cfg Config, trials int, scratch func() any, fn f
 	return ctx.Err()
 }
 
-// WaveStats aggregates a sharded run of independent waves.
-type WaveStats struct {
-	Waves        int
-	Offered      int
-	Delivered    int
-	Dropped      int
-	Misrouted    int
-	FaultDropped int // subset of Dropped killed directly by faults
-	// Throughput is the pooled delivered/offered ratio (the quantity the
-	// analytic blocking recurrence models), with dispersion from the
-	// linearized ratio-estimator variance over waves. For patterns that
-	// offer a constant packet count per wave this coincides with the
-	// mean and sample std of per-wave delivered fractions; for variable
-	// -load patterns (bernoulli, bursty) the pooled ratio weights every
-	// packet equally instead of every wave.
-	Throughput Stats
-}
-
-// waveTrial is one trial's counters, stored by trial index so reduction
-// order (and therefore every aggregate) is worker-count independent.
-type waveTrial struct{ offered, delivered, dropped, misrouted, faultDropped int }
-
 // RunWaves pushes `waves` independent waves of the pattern through the
-// fabric, sharded across cfg.Workers goroutines. The pattern must be a
-// pure function of (dsts, rng) — every pattern in the sim registry is —
-// since all workers share it with distinct buffers and rngs. Cancelling
-// ctx aborts the run within one trial (one 64-trial batch under the
-// bit-sliced kernel) and returns ctx.Err().
+// fabric, sharded across cfg.Workers goroutines, and returns the exact
+// partial aggregate of trials [0, waves); its Throughput method gives
+// the pooled delivered/offered ratio with its confidence interval. The
+// pattern must be a pure function of (dsts, rng) — every pattern in the
+// sim registry is — since all workers share it with distinct buffers
+// and rngs. Cancelling ctx aborts the run within one trial (one
+// 64-trial batch under the bit-sliced kernel) and returns ctx.Err().
 //
-// Trial t always draws from the streams NewRand(Seed, t) and
-// NewFaultRand(Seed, t) no matter which kernel executes it, and both
-// kernels are byte-identical per stream, so aggregates are invariant
-// under both worker count and kernel choice.
-func RunWaves(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int, cfg Config) (WaveStats, error) {
+// RunWaves is a sharded fold of RunWaveRange's executor: each worker
+// claims units of 64 trials (bit kernel) or one trial (scalar) and
+// runs them on its own waveExec into its own WavePartial; the worker
+// partials merge at the end. Merging is exact integer addition, so the
+// result equals RunWaveRange(0, waves) for any worker count and either
+// kernel.
+func RunWaves(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int, cfg Config) (WavePartial, error) {
 	if waves <= 0 {
-		return WaveStats{}, fmt.Errorf("engine: waves must be positive")
+		return WavePartial{}, fmt.Errorf("engine: waves must be positive")
 	}
-	plan := cfg.faultPlan()
-	if plan != nil {
-		if err := plan.Validate(f); err != nil {
-			return WaveStats{}, err
-		}
-	}
-	useBit := false
-	switch cfg.Kernel {
-	case KernelAuto:
-		// Fewer than 64 waves never fill a bit-sliced batch: run them
-		// scalar and leave the fabric's bit tables unbuilt.
-		useBit = waves >= 64 && f.BitSliceable()
-	case KernelScalar:
-	case KernelBit:
-		if !f.BitSliceable() {
-			return WaveStats{}, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (needs Banyan reachability and <= 16 stages)`)
-		}
-		useBit = true
-	default:
-		return WaveStats{}, fmt.Errorf("engine: unknown kernel %d", uint8(cfg.Kernel))
-	}
-	results := make([]waveTrial, waves)
-	var err error
-	if useBit {
-		err = runWavesBit(ctx, f, pattern, waves, cfg, plan, results)
-	} else {
-		err = runWavesScalar(ctx, f, pattern, waves, cfg, plan, results)
-	}
+	s, err := prepareWaves(f, pattern, waves, cfg)
 	if err != nil {
-		return WaveStats{}, err
+		return WavePartial{}, err
 	}
-	out := WaveStats{Waves: waves}
-	for _, r := range results {
-		out.Offered += r.offered
-		out.Delivered += r.delivered
-		out.Dropped += r.dropped
-		out.Misrouted += r.misrouted
-		out.FaultDropped += r.faultDropped
+	unit := 1
+	if s.useBit {
+		unit = 64
 	}
-	if out.Offered > 0 {
-		m := float64(out.Delivered) / float64(out.Offered)
-		// Linearized variance of the ratio-of-sums estimator:
-		// Var(m) ~= n/(n-1) * sum_t (d_t - m*o_t)^2 / (sum_t o_t)^2.
-		// Std is scaled so that Stats.CI95 = 1.96*Std/sqrt(N) yields
-		// exactly 1.96*sqrt(Var); for constant offered load it reduces
-		// to the sample std of per-wave delivered fractions.
-		n := 0
-		var sq float64
-		for _, r := range results {
-			if r.offered == 0 {
-				continue
-			}
-			n++
-			d := float64(r.delivered) - m*float64(r.offered)
-			sq += d * d
-		}
-		st := Stats{N: n, Mean: m}
-		if n > 1 {
-			st.Std = float64(n) / float64(out.Offered) * math.Sqrt(sq/float64(n-1))
-		}
-		out.Throughput = st
+	type worker struct {
+		exec *waveExec
+		sum  WavePartial
 	}
-	return out, nil
-}
-
-// runWavesScalar executes one trial per shard unit with the scalar
-// wave kernel. A pinned-only plan realizes identically every trial:
-// sample it once per worker. Random rates resample per trial from the
-// dedicated fault stream (the plan is already validated, so Resample
-// suffices).
-func runWavesScalar(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int, cfg Config, plan *sim.FaultPlan, results []waveTrial) error {
-	resample := plan != nil && plan.Random()
-	type waveScratch struct {
-		runner *sim.WaveRunner
-		faults *sim.FaultState
-	}
-	return shard(ctx, cfg, waves,
-		func() any {
-			sc := &waveScratch{runner: f.NewWaveRunner()}
-			if plan != nil {
-				sc.faults = f.NewFaultState()
-				_ = sc.runner.SetFaults(sc.faults)
-				if !resample {
-					sc.faults.Resample(*plan, nil)
-				}
-			}
-			return sc
-		},
-		func(t int, scratch any) error {
-			sc := scratch.(*waveScratch)
-			if resample {
-				sc.faults.Resample(*plan, NewFaultRand(cfg.Seed, uint64(t)))
-			}
-			res, err := sc.runner.RunTraffic(pattern, NewRand(cfg.Seed, uint64(t)))
-			if err != nil {
-				return err
-			}
-			results[t] = waveTrial{res.Offered, res.Delivered, res.Dropped, res.Misrouted, res.FaultDropped}
-			return nil
-		})
-}
-
-// runWavesBit executes the trials in 64-wide batches with the
-// bit-sliced kernel: shard unit u covers trials [64u, 64u+64), lane j
-// of the batch running trial 64u+j on its own reseeded PCG — the exact
-// NewRand/NewFaultRand streams the scalar executor would use, so the
-// per-trial results are byte-identical to runWavesScalar's. A trailing
-// remainder of fewer than 64 waves runs through the worker's scalar
-// runner inside the final unit (the kernels mix freely for the same
-// reason). All per-batch work — PCG reseeding, fault refolds, the
-// kernel itself — is allocation-free.
-func runWavesBit(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, waves int, cfg Config, plan *sim.FaultPlan, results []waveTrial) error {
-	resample := plan != nil && plan.Random()
-	batches := waves / 64
-	units := batches
-	if waves%64 != 0 {
-		units++
-	}
-	froot := FaultRoot(cfg.Seed)
-	type bitScratch struct {
-		bit    *sim.BitWaveRunner
-		scalar *sim.WaveRunner
-		faults *sim.FaultState
-		bits   *sim.BitFaultState
-		pcg    [64]rand.PCG
-		rngs   [64]*rand.Rand
-		fpcg   rand.PCG
-		frng   *rand.Rand
-	}
-	return shard(ctx, cfg, units,
-		func() any {
-			sc := &bitScratch{scalar: f.NewWaveRunner()}
-			sc.bit, _ = f.NewBitWaveRunner() // BitSliceable was checked by RunWaves
-			for j := range sc.rngs {
-				sc.rngs[j] = rand.New(&sc.pcg[j])
-			}
-			sc.frng = rand.New(&sc.fpcg)
-			if plan != nil {
-				sc.faults = f.NewFaultState()
-				sc.bits = f.NewBitFaultState()
-				_ = sc.scalar.SetFaults(sc.faults)
-				_ = sc.bit.SetFaults(sc.bits)
-				if !resample {
-					sc.faults.Resample(*plan, nil)
-					_ = sc.bits.SetAll(sc.faults)
-				}
-			}
-			return sc
+	units := (waves + unit - 1) / unit
+	workers := make([]worker, cfg.workers(units))
+	err = shard(ctx, cfg, units,
+		func(wk int) any {
+			w := &workers[wk]
+			w.exec = s.newExec()
+			return w
 		},
 		func(u int, scratch any) error {
-			sc := scratch.(*bitScratch)
-			t0 := u * 64
-			if u == batches {
-				// Remainder unit: fewer than 64 trailing waves, scalar.
-				for t := t0; t < waves; t++ {
-					if resample {
-						sc.fpcg.Seed(SeedPair(froot, uint64(t)))
-						sc.faults.Resample(*plan, sc.frng)
-					}
-					sc.pcg[0].Seed(SeedPair(cfg.Seed, uint64(t)))
-					res, err := sc.scalar.RunTraffic(pattern, sc.rngs[0])
-					if err != nil {
-						return err
-					}
-					results[t] = waveTrial{res.Offered, res.Delivered, res.Dropped, res.Misrouted, res.FaultDropped}
-				}
-				return nil
-			}
-			for j := 0; j < 64; j++ {
-				sc.pcg[j].Seed(SeedPair(cfg.Seed, uint64(t0+j)))
-			}
-			if resample {
-				for j := 0; j < 64; j++ {
-					sc.fpcg.Seed(SeedPair(froot, uint64(t0+j)))
-					sc.faults.Resample(*plan, sc.frng)
-					if err := sc.bits.SetLane(j, sc.faults); err != nil {
-						return err
-					}
-				}
-			}
-			res, err := sc.bit.RunTraffic(pattern, sc.rngs[:])
-			if err != nil {
-				return err
-			}
-			for j := 0; j < 64; j++ {
-				results[t0+j] = waveTrial{res.Offered[j], res.Delivered[j], res.Dropped[j], res.Misrouted[j], res.FaultDropped[j]}
-			}
-			return nil
+			w := scratch.(*worker)
+			return w.exec.run(ctx, u*unit, min(u*unit+unit, waves), &w.sum)
 		})
+	if err != nil {
+		return WavePartial{}, err
+	}
+	var out WavePartial
+	for i := range workers {
+		out.Merge(workers[i].sum)
+	}
+	return out, nil
 }
 
 // BufferedStats aggregates independent replications of the buffered
@@ -382,8 +211,9 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 			return BufferedStats{}, err
 		}
 	}
-	// Same discipline as RunWaves: pinned-only plans sample once per
-	// worker, random rates resample per trial from the fault stream.
+	// Same discipline as the wave executor: pinned-only plans sample
+	// once per worker, random rates resample per trial from the fault
+	// stream.
 	resample := plan != nil && plan.Random()
 	type bufScratch struct {
 		runner *sim.BufferedRunner
@@ -395,7 +225,7 @@ func RunBuffered(ctx context.Context, f *sim.Fabric, bc sim.BufferedConfig, reps
 	// next replication cannot overwrite it, without per-trial allocs.
 	occ := make([]float64, reps*f.Spans)
 	err := shard(ctx, cfg, reps,
-		func() any {
+		func(int) any {
 			r, _ := f.NewBufferedRunner(bc)
 			sc := &bufScratch{runner: r}
 			if plan != nil {

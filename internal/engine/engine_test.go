@@ -25,7 +25,8 @@ func fabricFor(t testing.TB, name string, n int) *sim.Fabric {
 // TestWaveDeterminismAcrossWorkers is the engine's core contract: the
 // same root seed produces byte-identical aggregate statistics for 1
 // worker and for K workers, because trial t always gets stream
-// NewRand(seed, t) and reduction happens in trial order.
+// NewRand(seed, t) and the per-worker partials merge by exact integer
+// addition.
 func TestWaveDeterminismAcrossWorkers(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 6)
 	for _, pattern := range []sim.Traffic{sim.Uniform(), sim.Bernoulli(0.6), sim.Bursty(0.3, 1.0, 0.1)} {
@@ -98,14 +99,15 @@ func TestWaveStatsTrackAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sim.AnalyticUniformThroughput(n)
-	if math.Abs(st.Throughput.Mean-want) > 0.02 {
-		t.Fatalf("engine throughput %v vs analytic %v", st.Throughput.Mean, want)
+	tp := st.Throughput()
+	if math.Abs(tp.Mean-want) > 0.02 {
+		t.Fatalf("engine throughput %v vs analytic %v", tp.Mean, want)
 	}
 	if st.Offered != st.Delivered+st.Dropped+st.Misrouted {
 		t.Fatalf("conservation violated: %+v", st)
 	}
-	if st.Throughput.N != 400 || st.Throughput.Std <= 0 || st.Throughput.CI95() <= 0 {
-		t.Fatalf("degenerate stats: %+v", st.Throughput)
+	if tp.N != 400 || tp.Std <= 0 || tp.CI95() <= 0 {
+		t.Fatalf("degenerate stats: %+v", tp)
 	}
 }
 
@@ -155,11 +157,12 @@ func TestThroughputIsPooledRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := float64(st.Delivered) / float64(st.Offered)
-	if math.Abs(st.Throughput.Mean-want) > 1e-12 {
-		t.Fatalf("throughput %v != pooled ratio %v", st.Throughput.Mean, want)
+	tp := st.Throughput()
+	if math.Abs(tp.Mean-want) > 1e-12 {
+		t.Fatalf("throughput %v != pooled ratio %v", tp.Mean, want)
 	}
-	if st.Throughput.CI95() <= 0 {
-		t.Fatalf("degenerate CI: %+v", st.Throughput)
+	if tp.CI95() <= 0 {
+		t.Fatalf("degenerate CI: %+v", tp)
 	}
 }
 
@@ -218,6 +221,33 @@ func TestCancellation(t *testing.T) {
 	}
 	if n := ran.Load(); n >= 1<<20 {
 		t.Fatalf("run did not stop early (ran %d trials)", n)
+	}
+}
+
+// TestRunWavesAllocsBounded: a wave run's allocations are per worker,
+// never per trial — no per-trial result slots, no per-trial rngs — so
+// with one worker the count is the same for a short and a long run on
+// either kernel.
+func TestRunWavesAllocsBounded(t *testing.T) {
+	f := fabricFor(t, topology.NameOmega, 6)
+	allocs := func(waves int, k Kernel) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RunWaves(context.Background(), f, sim.Uniform(), waves, Config{Workers: 1, Seed: 3, Kernel: k}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, c := range []struct {
+		kernel      Kernel
+		short, long int
+	}{
+		{KernelScalar, 8, 512},
+		{KernelBit, 64, 4096},
+	} {
+		if short, long := allocs(c.short, c.kernel), allocs(c.long, c.kernel); long > short {
+			t.Errorf("kernel=%v: %v allocs at %d waves, %v at %d: allocations grow with the wave count",
+				c.kernel, short, c.short, long, c.long)
+		}
 	}
 }
 
@@ -352,7 +382,7 @@ func TestFaultsDoNotPerturbTraffic(t *testing.T) {
 func TestFaultReproducibleFromSeedAndPlan(t *testing.T) {
 	f := fabricFor(t, topology.NameOmega, 5)
 	plan := &sim.FaultPlan{SwitchDeadRate: 0.08, LinkDownRate: 0.04}
-	run := func(seed uint64, p *sim.FaultPlan) WaveStats {
+	run := func(seed uint64, p *sim.FaultPlan) WavePartial {
 		st, err := RunWaves(context.Background(), f, sim.Uniform(), 40, Config{Seed: seed, Faults: p})
 		if err != nil {
 			t.Fatal(err)

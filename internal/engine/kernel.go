@@ -2,13 +2,14 @@ package engine
 
 import "fmt"
 
-// Kernel selects the executor RunWaves steers unbuffered waves with.
-// The two kernels are byte-identical per trial stream — the bit-sliced
-// one packs 64 trials into uint64 bit-planes and steers them with
-// word-parallel boolean algebra (see internal/sim/bitfabric.go), the
-// scalar one walks packets one by one — so the choice affects only
-// throughput, never results. RunBuffered ignores it (the queued model
-// has no bit-sliced form).
+// Kernel selects the kernel the wave executor (RunWaves and
+// RunWaveRange) steers whole 64-trial batches with; shorter remainders
+// always run scalar. The two kernels are byte-identical per trial
+// stream — the bit-sliced one packs 64 trials into uint64 bit-planes
+// and steers them with word-parallel boolean algebra (see
+// internal/sim/bitfabric.go), the scalar one walks packets one by one —
+// so the choice affects only speed, never results. RunBuffered ignores
+// it (the queued model has no bit-sliced form).
 type Kernel uint8
 
 const (
@@ -20,7 +21,7 @@ const (
 	// KernelScalar forces the one-packet-at-a-time kernel (the oracle
 	// the bit-sliced kernel is verified against).
 	KernelScalar
-	// KernelBit forces the bit-sliced kernel; RunWaves fails when the
+	// KernelBit forces the bit-sliced kernel; a run fails when the
 	// fabric is not bit-sliceable rather than silently degrading.
 	KernelBit
 )

@@ -71,12 +71,7 @@ func (p *WavePartial) Merge(q WavePartial) {
 		*p = q
 		return
 	}
-	if q.Lo < p.Lo {
-		p.Lo = q.Lo
-	}
-	if q.Hi > p.Hi {
-		p.Hi = q.Hi
-	}
+	p.cover(q.Lo, q.Hi)
 	p.Offered += q.Offered
 	p.Delivered += q.Delivered
 	p.Dropped += q.Dropped
@@ -88,12 +83,26 @@ func (p *WavePartial) Merge(q WavePartial) {
 	p.SumOO += q.SumOO
 }
 
-// Throughput finalizes the pooled delivered/offered ratio with the
-// linearized ratio-estimator dispersion, computed from the exact sums
-// (same estimator as RunWaves; the only difference is that the
-// quadratic expansion here is exact where RunWaves accumulates the
-// residuals in floating point, so the two can differ in the last ulp
-// of Std — the mean is bit-equal).
+// cover extends p's range to the hull of itself and [lo, hi).
+func (p *WavePartial) cover(lo, hi int) {
+	if p.Trials() == 0 {
+		p.Lo, p.Hi = lo, hi
+		return
+	}
+	p.Lo, p.Hi = min(p.Lo, lo), max(p.Hi, hi)
+}
+
+// Throughput finalizes the pooled delivered/offered ratio (the
+// quantity the analytic blocking recurrence models) with the
+// linearized ratio-estimator dispersion, computed from the exact sums:
+// Var(m) ~= n/(n-1) * sq / Offered², with Std scaled so that
+// Stats.CI95 = 1.96*Std/sqrt(N) yields exactly 1.96*sqrt(Var). For
+// patterns that offer a constant packet count per wave this is the
+// mean and sample std of per-wave delivered fractions; for
+// variable-load patterns (bernoulli, bursty) the pooled ratio weights
+// every packet equally instead of every wave. Being a pure function of
+// the integer sums, it is the same for every surface that merges the
+// same trials.
 func (p WavePartial) Throughput() Stats {
 	if p.Offered == 0 {
 		return Stats{}
@@ -112,11 +121,10 @@ func (p WavePartial) Throughput() Stats {
 
 // RunWaveRange runs the trials [lo, hi) of the wave run defined by
 // (cfg.Seed, pattern, cfg.Faults) and returns their exact partial
-// aggregate. Trial t draws from the same NewRand(Seed, t) and
-// NewFaultRand(Seed, t) streams RunWaves uses, for either kernel, so
-// any partition of [0, waves) into ranges merges to the aggregate of
-// one full run — regardless of which process ran which range, in what
-// order, or how many times it was retried in between.
+// aggregate. It is the executor RunWaves shards, so any partition of
+// [0, waves) into ranges merges to RunWaves' result — regardless of
+// which process ran which range, in what order, or how many times it
+// was retried in between.
 //
 // The range is executed sequentially on the calling goroutine: the
 // shard IS the unit of parallelism for callers like the jobs plane,
@@ -127,142 +135,168 @@ func RunWaveRange(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, lo, h
 	if lo < 0 || hi <= lo {
 		return WavePartial{}, fmt.Errorf("engine: bad trial range [%d,%d)", lo, hi)
 	}
-	plan := cfg.faultPlan()
-	if plan != nil {
-		if err := plan.Validate(f); err != nil {
-			return WavePartial{}, err
-		}
-	}
-	useBit := false
-	switch cfg.Kernel {
-	case KernelAuto:
-		// As in RunWaves: a range shorter than one 64-trial batch runs
-		// scalar and never builds the fabric's bit tables.
-		useBit = hi-lo >= 64 && f.BitSliceable()
-	case KernelScalar:
-	case KernelBit:
-		if !f.BitSliceable() {
-			return WavePartial{}, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (needs Banyan reachability and <= 16 stages)`)
-		}
-		useBit = true
-	default:
-		return WavePartial{}, fmt.Errorf("engine: unknown kernel %d", uint8(cfg.Kernel))
-	}
-	if useBit {
-		return runRangeBit(ctx, f, pattern, lo, hi, cfg, plan)
-	}
-	return runRangeScalar(ctx, f, pattern, lo, hi, cfg, plan)
-}
-
-// runRangeScalar walks the range one trial at a time on the scalar
-// kernel, following the same fault-sampling discipline as
-// runWavesScalar: pinned-only plans sample once, random rates resample
-// per trial from the dedicated fault stream.
-func runRangeScalar(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, lo, hi int, cfg Config, plan *sim.FaultPlan) (WavePartial, error) {
-	resample := plan != nil && plan.Random()
-	runner := f.NewWaveRunner()
-	var faults *sim.FaultState
-	if plan != nil {
-		faults = f.NewFaultState()
-		_ = runner.SetFaults(faults)
-		if !resample {
-			faults.Resample(*plan, nil)
-		}
-	}
-	p := WavePartial{Lo: lo, Hi: hi}
-	for t := lo; t < hi; t++ {
-		if err := ctx.Err(); err != nil {
-			return WavePartial{}, err
-		}
-		if resample {
-			faults.Resample(*plan, NewFaultRand(cfg.Seed, uint64(t)))
-		}
-		res, err := runner.RunTraffic(pattern, NewRand(cfg.Seed, uint64(t)))
-		if err != nil {
-			return WavePartial{}, err
-		}
-		p.add(res.Offered, res.Delivered, res.Dropped, res.Misrouted, res.FaultDropped)
-	}
-	return p, nil
-}
-
-// runRangeBit executes the range in 64-wide batches on the bit-sliced
-// kernel, lane j of a batch starting at t0 running trial t0+j on the
-// exact NewRand/NewFaultRand streams the scalar kernel would use; a
-// trailing remainder shorter than 64 trials runs scalar. Batches are
-// anchored at lo (not at multiples of 64): per-trial byte-identity is
-// a property of the reseeded streams, so batch alignment cannot leak
-// into the sums.
-func runRangeBit(ctx context.Context, f *sim.Fabric, pattern sim.Traffic, lo, hi int, cfg Config, plan *sim.FaultPlan) (WavePartial, error) {
-	resample := plan != nil && plan.Random()
-	bit, err := f.NewBitWaveRunner()
+	s, err := prepareWaves(f, pattern, hi-lo, cfg)
 	if err != nil {
 		return WavePartial{}, err
 	}
-	scalar := f.NewWaveRunner()
-	var (
-		faults *sim.FaultState
-		bits   *sim.BitFaultState
-	)
-	if plan != nil {
-		faults = f.NewFaultState()
-		bits = f.NewBitFaultState()
-		_ = scalar.SetFaults(faults)
-		_ = bit.SetFaults(bits)
-		if !resample {
-			faults.Resample(*plan, nil)
-			_ = bits.SetAll(faults)
-		}
+	var p WavePartial
+	if err := s.newExec().run(ctx, lo, hi, &p); err != nil {
+		return WavePartial{}, err
 	}
-	froot := FaultRoot(cfg.Seed)
-	var pcg [64]rand.PCG
-	var rngs [64]*rand.Rand
-	for j := range rngs {
-		rngs[j] = rand.New(&pcg[j])
-	}
-	var fpcg rand.PCG
-	frng := rand.New(&fpcg)
+	return p, nil
+}
 
-	p := WavePartial{Lo: lo, Hi: hi}
-	t0 := lo
-	for ; t0+64 <= hi; t0 += 64 {
-		if err := ctx.Err(); err != nil {
-			return WavePartial{}, err
+// waveSetup is a validated wave run: what every trial shares, and
+// whether whole 64-trial batches take the bit-sliced kernel.
+type waveSetup struct {
+	f        *sim.Fabric
+	pattern  sim.Traffic
+	seed     uint64
+	plan     *sim.FaultPlan // nil for an intact run
+	resample bool           // the plan has random rates: redraw per trial
+	froot    uint64         // FaultRoot(seed), set when resample
+	useBit   bool
+}
+
+// prepareWaves validates cfg's fault plan and kernel choice for a run
+// of `trials` trials on f.
+func prepareWaves(f *sim.Fabric, pattern sim.Traffic, trials int, cfg Config) (waveSetup, error) {
+	s := waveSetup{f: f, pattern: pattern, seed: cfg.Seed, plan: cfg.faultPlan()}
+	if s.plan != nil {
+		if err := s.plan.Validate(f); err != nil {
+			return waveSetup{}, err
 		}
-		for j := 0; j < 64; j++ {
-			pcg[j].Seed(SeedPair(cfg.Seed, uint64(t0+j)))
+		s.resample = s.plan.Random()
+		s.froot = FaultRoot(cfg.Seed)
+	}
+	switch cfg.Kernel {
+	case KernelAuto:
+		// Fewer than 64 trials never fill a bit-sliced batch: run them
+		// scalar and leave the fabric's bit tables unbuilt.
+		s.useBit = trials >= 64 && f.BitSliceable()
+	case KernelScalar:
+	case KernelBit:
+		if !f.BitSliceable() {
+			return waveSetup{}, fmt.Errorf(`engine: kernel "bit" requested but the fabric is not bit-sliceable (needs Banyan reachability and <= 16 stages)`)
 		}
-		if resample {
-			for j := 0; j < 64; j++ {
-				fpcg.Seed(SeedPair(froot, uint64(t0+j)))
-				faults.Resample(*plan, frng)
-				if err := bits.SetLane(j, faults); err != nil {
-					return WavePartial{}, err
-				}
-			}
-		}
-		res, err := bit.RunTraffic(pattern, rngs[:])
-		if err != nil {
-			return WavePartial{}, err
-		}
-		for j := 0; j < 64; j++ {
-			p.add(res.Offered[j], res.Delivered[j], res.Dropped[j], res.Misrouted[j], res.FaultDropped[j])
+		s.useBit = true
+	default:
+		return waveSetup{}, fmt.Errorf("engine: unknown kernel %d", uint8(cfg.Kernel))
+	}
+	return s, nil
+}
+
+// waveExec is one worker's reusable state for a wave run: the scalar
+// runner, the bit runner when the run uses the bit kernel, the fault
+// states, and PCGs reseeded in place per trial, so running trials
+// allocates nothing.
+type waveExec struct {
+	waveSetup
+	scalar *sim.WaveRunner
+	bit    *sim.BitWaveRunner // nil unless the run uses the bit kernel
+	faults *sim.FaultState    // nil for an intact run
+	bits   *sim.BitFaultState // nil unless both faults and bit
+	pcg    []rand.PCG         // traffic streams: 64 lanes under the bit kernel, else 1
+	rngs   []*rand.Rand
+	pcg1   [1]rand.PCG // backs pcg and rngs on the scalar kernel
+	rng1   [1]*rand.Rand
+	fpcg   rand.PCG // fault stream, used only when resample
+	frng   *rand.Rand
+}
+
+func (s waveSetup) newExec() *waveExec {
+	e := &waveExec{waveSetup: s, scalar: s.f.NewWaveRunner()}
+	e.pcg, e.rngs = e.pcg1[:], e.rng1[:]
+	if s.useBit {
+		e.bit, _ = s.f.NewBitWaveRunner() // prepareWaves checked BitSliceable
+		e.pcg, e.rngs = make([]rand.PCG, 64), make([]*rand.Rand, 64)
+	}
+	for j := range e.rngs {
+		e.rngs[j] = rand.New(&e.pcg[j])
+	}
+	if s.plan == nil {
+		return e
+	}
+	e.faults = s.f.NewFaultState()
+	_ = e.scalar.SetFaults(e.faults)
+	if e.bit != nil {
+		e.bits = s.f.NewBitFaultState()
+		_ = e.bit.SetFaults(e.bits)
+	}
+	if s.resample {
+		e.frng = rand.New(&e.fpcg)
+	} else {
+		// A pinned-only plan realizes identically every trial: sample
+		// it once (the plan is validated, so Resample suffices).
+		e.faults.Resample(*s.plan, nil)
+		if e.bits != nil {
+			_ = e.bits.SetAll(e.faults)
 		}
 	}
-	for t := t0; t < hi; t++ {
+	return e
+}
+
+// run executes the trials [lo, hi) and folds them into p, extending
+// p's range to cover them: whole 64-trial batches on the bit kernel
+// first, then the rest one trial at a time on the scalar kernel. Lane j of a batch starting at t0 runs trial t0+j on the
+// exact streams NewRand(seed, t0+j) and NewFaultRand(seed, t0+j) the
+// scalar kernel would use, and both kernels are byte-identical per
+// stream, so the partial depends on neither the kernel nor where the
+// batches start.
+func (e *waveExec) run(ctx context.Context, lo, hi int, p *WavePartial) error {
+	p.cover(lo, hi)
+	t := lo
+	for ; e.bit != nil && t+64 <= hi; t += 64 {
 		if err := ctx.Err(); err != nil {
-			return WavePartial{}, err
+			return err
 		}
-		if resample {
-			fpcg.Seed(SeedPair(froot, uint64(t)))
-			faults.Resample(*plan, frng)
+		if err := e.batch(t, p); err != nil {
+			return err
 		}
-		pcg[0].Seed(SeedPair(cfg.Seed, uint64(t)))
-		res, err := scalar.RunTraffic(pattern, rngs[0])
+	}
+	for ; t < hi; t++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if e.resample {
+			e.sampleFaults(t)
+		}
+		e.pcg[0].Seed(SeedPair(e.seed, uint64(t)))
+		res, err := e.scalar.RunTraffic(e.pattern, e.rngs[0])
 		if err != nil {
-			return WavePartial{}, err
+			return err
 		}
 		p.add(res.Offered, res.Delivered, res.Dropped, res.Misrouted, res.FaultDropped)
 	}
-	return p, nil
+	return nil
+}
+
+// batch runs the trials [t, t+64) as one bit-kernel batch into p. It
+// is a function of its own so the kernel's 64-lane result stays off
+// run's stack frame, which every worker carries on the scalar kernel.
+func (e *waveExec) batch(t int, p *WavePartial) error {
+	for j := range e.pcg {
+		e.pcg[j].Seed(SeedPair(e.seed, uint64(t+j)))
+		if e.resample {
+			e.sampleFaults(t + j)
+			if err := e.bits.SetLane(j, e.faults); err != nil {
+				return err
+			}
+		}
+	}
+	res, err := e.bit.RunTraffic(e.pattern, e.rngs)
+	if err != nil {
+		return err
+	}
+	for j := range e.pcg {
+		p.add(res.Offered[j], res.Delivered[j], res.Dropped[j], res.Misrouted[j], res.FaultDropped[j])
+	}
+	return nil
+}
+
+// sampleFaults redraws the random plan for trial t from its fault
+// stream NewFaultRand(seed, t).
+func (e *waveExec) sampleFaults(t int) {
+	e.fpcg.Seed(SeedPair(e.froot, uint64(t)))
+	e.faults.Resample(*e.plan, e.frng)
 }

@@ -53,7 +53,7 @@ func RunT16(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, " %-12.4f", st.Throughput.Mean)
+			fmt.Fprintf(w, " %-12.4f", st.Throughput().Mean)
 		}
 		fmt.Fprintln(w)
 	}
@@ -84,7 +84,7 @@ func RunT16(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%-10.2f %-22s %-10.4f %-10d\n", rate, kind.name, st.Throughput.Mean, st.FaultDropped)
+			fmt.Fprintf(w, "%-10.2f %-22s %-10.4f %-10d\n", rate, kind.name, st.Throughput().Mean, st.FaultDropped)
 		}
 	}
 

@@ -71,7 +71,8 @@ func RunT7(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, " %.4f ± %.4f  ", st.Throughput.Mean, st.Throughput.CI95())
+			tp := st.Throughput()
+			fmt.Fprintf(w, " %.4f ± %.4f  ", tp.Mean, tp.CI95())
 		}
 		fmt.Fprintln(w)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"minequiv/internal/engine"
+	"minequiv/internal/midigraph"
 	"minequiv/internal/sim"
 	"minequiv/internal/topology"
 )
@@ -132,7 +133,7 @@ func TestJobCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cells[0].Throughput.Mean != ws.Throughput.Mean || int(res.Cells[0].Delivered) != ws.Delivered {
+	if res.Cells[0].Throughput != toStat(ws.Throughput()) || res.Cells[0].Delivered != ws.Delivered {
 		t.Fatalf("cell 0 disagrees with engine: %+v vs %+v", res.Cells[0], ws)
 	}
 }
@@ -241,6 +242,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Stages: 3, TrialsPerCell: 8},                                                                   // no networks
 		{Networks: []string{"nope"}, Stages: 3, TrialsPerCell: 8},                                       // unknown network
 		{Networks: []string{topology.NameOmega}, Stages: 0, TrialsPerCell: 8},                           // bad stages
+		{Networks: []string{topology.NameOmega}, Stages: 1, TrialsPerCell: 8},                           // one stage: topology.Build rejects it
+		{Networks: []string{topology.NameOmega}, Stages: midigraph.MaxStages + 1, TrialsPerCell: 8},     // beyond MaxStages
 		{Networks: []string{topology.NameOmega}, Stages: 3, TrialsPerCell: 0},                           // bad trials
 		{Networks: []string{topology.NameOmega}, Stages: 3, TrialsPerCell: 8, Loads: []float64{2}},      // bad load
 		{Networks: []string{topology.NameOmega}, Stages: 3, TrialsPerCell: 8, FaultRates: []float64{1}}, // bad rate
@@ -428,11 +431,7 @@ func patternForCell(t *testing.T, cell Cell) sim.Traffic {
 	}
 	params := sim.DefaultScenarioParams()
 	params.Load = cell.Load
-	p := sc.New(params)
-	if !sc.LoadAware && cell.Load < 1 {
-		p = sim.Thinned(cell.Load, p)
-	}
-	return p
+	return sc.Traffic(params)
 }
 
 // TestFabricCacheConcurrentFirstGet: racing first lookups of one key

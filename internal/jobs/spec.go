@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"minequiv/internal/engine"
+	"minequiv/internal/midigraph"
 	"minequiv/internal/sim"
 	"minequiv/internal/topology"
 )
@@ -89,8 +90,10 @@ func (s Spec) validate() error {
 			return fmt.Errorf("jobs: unknown network %q (known: %s)", n, strings.Join(topology.Names(), ", "))
 		}
 	}
-	if s.Stages < 1 {
-		return fmt.Errorf("jobs: stages must be >= 1")
+	// The catalog builds 2..MaxStages stages; outside that every shard
+	// would fail until the job ended quarantined.
+	if s.Stages < 2 || s.Stages > midigraph.MaxStages {
+		return fmt.Errorf("jobs: stages must be in [2,%d], got %d", midigraph.MaxStages, s.Stages)
 	}
 	if s.TrialsPerCell < 1 {
 		return fmt.Errorf("jobs: trialsPerCell must be >= 1")

@@ -33,10 +33,22 @@ type Scenario struct {
 	Description string
 	New         func(p ScenarioParams) Traffic
 	// LoadAware marks scenarios that consume ScenarioParams.Load
-	// themselves; the rest inject at every input, and consumers that
-	// need a lower offered load (the buffered model, minsim -load)
-	// compose them with Thinned.
+	// themselves; the rest inject at every input, and Traffic composes
+	// them with Thinned to offer the asked-for load.
 	LoadAware bool
+}
+
+// Traffic builds the scenario's generator for p. A scenario that is not
+// load-aware is wrapped in Thinned(p.Load) so it offers that load (at
+// the default load 1 that is the scenario itself); a load-aware one
+// consumes p.Load itself. This is the one scenario-to-traffic rule
+// every simulation surface uses.
+func (s Scenario) Traffic(p ScenarioParams) Traffic {
+	tr := s.New(p)
+	if !s.LoadAware {
+		tr = Thinned(p.Load, tr)
+	}
+	return tr
 }
 
 var scenarios = []Scenario{

@@ -295,6 +295,48 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 }
 
+// TestScenarioTraffic: the scenario-to-traffic rule thins exactly the
+// scenarios that are not load-aware, and is the scenario itself at full
+// load.
+func TestScenarioTraffic(t *testing.T) {
+	const N, waves = 64, 200
+	same := func(a, b Traffic) bool {
+		ra, rb := rand.New(rand.NewPCG(5, 1)), rand.New(rand.NewPCG(5, 1))
+		for i := 0; i < waves; i++ {
+			if !reflect.DeepEqual(wave(a, N, ra), wave(b, N, rb)) {
+				return false
+			}
+		}
+		return true
+	}
+	offered := func(tr Traffic) int {
+		rng, n := rand.New(rand.NewPCG(6, 1)), 0
+		for i := 0; i < waves; i++ {
+			for _, d := range wave(tr, N, rng) {
+				if d >= 0 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	full, quarter := DefaultScenarioParams(), DefaultScenarioParams()
+	quarter.Load = 0.25
+	for _, sc := range Scenarios() {
+		if !same(sc.Traffic(full), sc.New(full)) {
+			t.Errorf("%s: Traffic changed the scenario at full load", sc.Name)
+		}
+		thinned := sc.Traffic(quarter)
+		if sc.LoadAware {
+			if !same(thinned, sc.New(quarter)) {
+				t.Errorf("%s: load-aware scenario was thinned", sc.Name)
+			}
+		} else if got, all := offered(thinned), offered(sc.New(quarter)); got*2 > all {
+			t.Errorf("%s: thinned to load 0.25 still offers %d of %d packets", sc.Name, got, all)
+		}
+	}
+}
+
 func TestBanyanRejectsNonBanyanFabric(t *testing.T) {
 	// With identity link permutations both switch ports of a stage-0
 	// cell lead to the same child: paths are duplicated where they

@@ -167,6 +167,12 @@ func NearestNeighbor() Traffic {
 // else idles. Composing Thinned(load, pattern) is how full-injection
 // patterns (uniform, tornado, transpose, ...) drive the buffered model
 // at a chosen load. Thinned(1, p) is p itself.
+//
+// Thinned is kept out of line: a copy of the returned closure inlined
+// into a caller calls rng.Float64 out of line on every busy input,
+// while the closure compiled here inlines it.
+//
+//go:noinline
 func Thinned(load float64, inner Traffic) Traffic {
 	if load >= 1 {
 		return inner
