@@ -2,13 +2,15 @@
 // multichecker over the analyzers in internal/lint (detrand,
 // impboundary, hotalloc, errcodes, metriclint).
 //
-// Standalone:
+// Called with package patterns,
 //
 //	minlint [-detrand] [-impboundary] [...] [packages]
 //
-// loads the packages (default ./...) through `go list -export`, runs
-// the selected analyzers (none selected = all), prints findings to
-// stdout, and exits 1 if there were any.
+// it runs `go vet -vettool=<this executable>` over the packages
+// (default ./...) with its arguments passed through, so the go command
+// loads, compiles and caches every unit and hands each one back as a
+// *.cfg. The selected analyzers run (none selected = all); findings go
+// to stderr and the exit status is non-zero if there were any.
 //
 // As a vet tool:
 //
@@ -22,6 +24,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -31,6 +34,7 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -66,6 +70,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return printFlags(fs, stdout, stderr)
 	}
 
+	rest := fs.Args()
+	if len(rest) != 1 || !strings.HasSuffix(rest[0], ".cfg") {
+		return vet(args, rest, stdout, stderr)
+	}
+
 	var analyzers []*lint.Analyzer
 	for _, a := range lint.Analyzers {
 		if *selected[a.Name] {
@@ -75,38 +84,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(analyzers) == 0 {
 		analyzers = lint.Analyzers
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitCheck(rest[0], analyzers, stderr)
-	}
-	return standalone(rest, analyzers, stdout, stderr)
+	return unitCheck(rest[0], analyzers, stderr)
 }
 
-// standalone loads packages via go list and prints findings.
-func standalone(patterns []string, analyzers []*lint.Analyzer, stdout, stderr io.Writer) int {
+// vet runs go vet with this executable as the vet tool, passing args
+// through; the go command calls back once per compile unit with a
+// *.cfg, which unitCheck analyzes.
+func vet(args, patterns []string, stdout, stderr io.Writer) int {
+	exe, err := os.Executable()
+	if err != nil {
+		fmt.Fprintln(stderr, "minlint:", err)
+		return 2
+	}
+	vetArgs := append([]string{"vet", "-vettool=" + exe}, args...)
 	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+		vetArgs = append(vetArgs, "./...")
 	}
-	pkgs, err := lint.LoadPackages("", patterns...)
-	if err != nil {
-		fmt.Fprintln(stderr, "minlint:", err)
-		return 2
-	}
-	diags, err := lint.Run(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintln(stderr, "minlint:", err)
-		return 2
-	}
-	cwd, _ := os.Getwd()
-	for _, d := range diags {
-		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-			d.Pos.Filename = rel
+	cmd := exec.Command("go", vetArgs...)
+	cmd.Stdout, cmd.Stderr = stdout, stderr
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode()
 		}
-		fmt.Fprintln(stdout, d)
-	}
-	if len(diags) > 0 {
-		return 1
+		fmt.Fprintln(stderr, "minlint:", err)
+		return 2
 	}
 	return 0
 }
@@ -195,9 +197,9 @@ func unitCheck(cfgFile string, analyzers []*lint.Analyzer, stderr io.Writer) int
 		return 2
 	}
 
-	// Test variants arrive as "path [path.test]"; analyzers key on the
-	// base path (their test-file policy already matches the standalone
-	// driver's).
+	// Test variants arrive as "path [path.test]" with their _test.go
+	// files compiled in; analyzers key on the base path and skip test
+	// files where a contract covers production code only.
 	pkg := &lint.Package{
 		Path:  basePath(cfg.ImportPath),
 		Fset:  fset,

@@ -2,13 +2,48 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// binDir holds the minlint binary the end-to-end tests share.
+var binDir string
+
+var buildBin = sync.OnceValues(func() (string, error) {
+	bin := filepath.Join(binDir, "minlint")
+	if out, err := exec.Command("go", "build", "-o", bin, "minequiv/cmd/minlint").CombinedOutput(); err != nil {
+		return "", fmt.Errorf("building minlint: %v\n%s", err, out)
+	}
+	return bin, nil
+})
+
+// minlintBinary builds cmd/minlint once per test binary.
+func minlintBinary(t *testing.T) string {
+	t.Helper()
+	bin, err := buildBin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bin
+}
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "minlint-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 func TestVersionFull(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -34,17 +69,17 @@ func TestFlagsJSON(t *testing.T) {
 	}
 }
 
-// TestStandaloneModuleClean is the dogfood gate: every analyzer over
-// every package of this module must come back clean.
-func TestStandaloneModuleClean(t *testing.T) {
+// TestModuleClean is the dogfood gate: every analyzer over every
+// package of this module must come back clean. It goes through the
+// built binary: run's front door re-executes itself under go vet,
+// which the test binary cannot stand in for.
+func TestModuleClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
+		t.Skip("builds the minlint binary and vets the whole module")
 	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"minequiv/..."}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("minlint minequiv/... = exit %d\nstdout:\n%s\nstderr:\n%s",
-			code, stdout.String(), stderr.String())
+	out, err := exec.Command(minlintBinary(t), "minequiv/...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("minlint minequiv/...: %v\n%s", err, out)
 	}
 }
 
@@ -55,12 +90,8 @@ func TestVetTool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the minlint binary and runs go vet")
 	}
+	bin := minlintBinary(t)
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "minlint")
-	build := exec.Command("go", "build", "-o", bin, "minequiv/cmd/minlint")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building minlint: %v\n%s", err, out)
-	}
 
 	// A module named minequiv so the default boundary policy applies.
 	mod := filepath.Join(tmp, "mod")

@@ -34,6 +34,11 @@
 // scales both served RPS and p99 by the refCheckUs ratio, so CI fails
 // on real serving regressions, not on slower runners.
 //
+// The report, printed and written by -o, is the envelope
+// {"codecs":{"<codec>":{...}}} holding the run's one codec row — the
+// shape of the committed BENCH_SERVE_10.json and of every -baseline,
+// so any report can gate a later run.
+//
 // Usage:
 //
 //	minload -inprocess -duration 5s -conns 8 -codec bin -o bin.json
@@ -536,8 +541,7 @@ type opReport struct {
 	BytesOut uint64 `json:"bytesOut"`
 }
 
-// report is one codec's row of the committed/gated artifact
-// (BENCH_SERVE_10.json holds one per codec under "codecs").
+// report is one codec's row of the committed/gated artifact.
 type report struct {
 	Mode        string        `json:"mode"` // "closed" or "open"
 	Mix         string        `json:"mix"`
@@ -558,9 +562,10 @@ type report struct {
 	Ops map[string]opReport `json:"ops,omitempty"`
 }
 
-// codecBaselines is the BENCH_SERVE_10.json envelope: one report per
-// codec, keyed "json"/"bin", so a single committed file gates both
-// wire formats.
+// codecBaselines is the one report shape: one row per codec, keyed
+// "json"/"bin". A run prints and writes (-o) its own row in it, and
+// BENCH_SERVE_10.json holds both rows, so a single committed file
+// gates both wire formats.
 type codecBaselines struct {
 	Codecs map[string]report `json:"codecs"`
 }
@@ -588,6 +593,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	lintMetrics := fs.Bool("lint-metrics", false, "fetch /metrics after the run and lint the exposition")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *conns < 1 {
+		return fmt.Errorf("-conns must be >= 1")
+	}
+	if *duration <= 0 {
+		return fmt.Errorf("-duration must be > 0")
 	}
 	if *stages < 3 {
 		return fmt.Errorf("-stages must be >= 3")
@@ -726,14 +737,16 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		MaxUs:  merged.maxUs,
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	data, err := json.MarshalIndent(codecBaselines{Codecs: map[string]report{rep.Codec: rep}}, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if _, err := w.Write(data); err != nil {
 		return err
 	}
 	if *out != "" {
-		data, _ := json.MarshalIndent(rep, "", "  ")
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
 			return err
 		}
 	}
@@ -902,25 +915,21 @@ func runOpen(ctx context.Context, tgt target, ops []op, conns int, seed int64, r
 	return total.Load(), errCount.Load(), shedCount.Load(), dropCount.Load()
 }
 
-// gate compares the run against a committed baseline, normalized by
-// the refCheckUs ratio so a slower runner is not a false regression.
-// A codec-split baseline ({"codecs":{"json":{...},"bin":{...}}}) gates
-// the row matching the run's -codec; a legacy flat report gates as-is.
+// gate compares the run against the row for its -codec in a baseline
+// envelope ({"codecs":{"json":{...},"bin":{...}}}), normalized by the
+// refCheckUs ratio so a slower runner is not a false regression.
 func gate(w io.Writer, cur report, baselinePath string, maxRegress float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
 	var split codecBaselines
-	var base report
-	if err := json.Unmarshal(data, &split); err == nil && len(split.Codecs) > 0 {
-		row, ok := split.Codecs[cur.Codec]
-		if !ok {
-			return fmt.Errorf("baseline %s has no %q codec row", baselinePath, cur.Codec)
-		}
-		base = row
-	} else if err := json.Unmarshal(data, &base); err != nil {
+	if err := json.Unmarshal(data, &split); err != nil {
 		return fmt.Errorf("baseline %s: %w", baselinePath, err)
+	}
+	base, ok := split.Codecs[cur.Codec]
+	if !ok {
+		return fmt.Errorf("baseline %s has no %q codec row", baselinePath, cur.Codec)
 	}
 	if base.RefCheckUs <= 0 || cur.RefCheckUs <= 0 {
 		return fmt.Errorf("baseline gating needs refCheckUs on both sides")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -64,40 +65,83 @@ func TestBuildMix(t *testing.T) {
 }
 
 // TestRunEndToEnd exercises the whole tool in-process: a short closed
-// run writing a report, then a gated re-run against it.
+// run writing a report, the gate's passing verdict on that report, and
+// a -baseline run against a fixture envelope. The verdicts are
+// deterministic: the report is gated against itself (speed ratio 1),
+// and the fixture's bounds admit any run.
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	rep := filepath.Join(dir, "report.json")
+	repPath := filepath.Join(dir, "report.json")
 	var out bytes.Buffer
 	args := []string{
 		"-inprocess", "-duration", "300ms", "-warmup", "100ms", "-conns", "2",
 		"-mix", "check=0.7,batch=0.3", "-stages", "4", "-seed", "1",
-		"-lint-metrics", "-o", rep,
 	}
-	if err := run(context.Background(), args, &out); err != nil {
+	if err := run(context.Background(), append(args, "-lint-metrics", "-o", repPath), &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	data, err := os.ReadFile(rep)
+	data, err := os.ReadFile(repPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"servedRPS"`, `"refCheckUs"`, `"p99Us"`, `"mode": "closed"`} {
+	for _, want := range []string{`"codecs"`, `"servedRPS"`, `"refCheckUs"`, `"p99Us"`, `"mode": "closed"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("report missing %s:\n%s", want, data)
 		}
 	}
+	if !strings.Contains(out.String(), string(data)) {
+		t.Errorf("printed report differs from the -o file:\n%s\nvs\n%s", out.String(), data)
+	}
 	if !strings.Contains(out.String(), "lint-clean") {
 		t.Errorf("metrics lint did not run:\n%s", out.String())
 	}
-	// Gate a second run against the first: same machine, same load —
-	// must pass a 60% envelope even on a noisy runner.
+
+	var env codecBaselines
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := env.Codecs["json"]
+	if !ok || len(env.Codecs) != 1 {
+		t.Fatalf("report envelope wants exactly the json row: %s", data)
+	}
+	if rep.Requests == 0 {
+		t.Fatalf("run served no requests: %s", data)
+	}
 	out.Reset()
-	args = append(args[:len(args)-2], "-baseline", rep, "-max-regress", "60")
-	if err := run(context.Background(), args, &out); err != nil {
+	if err := gate(&out, rep, repPath, 20); err != nil {
+		t.Fatalf("report gated against itself: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "speed ratio 1.00") || !strings.Contains(out.String(), "within baseline envelope") {
+		t.Errorf("gate verdict missing:\n%s", out.String())
+	}
+
+	fixture := filepath.Join(dir, "fixture.json")
+	if err := os.WriteFile(fixture, []byte(`{"codecs":{"json":{"refCheckUs":1,"servedRPS":0,"latency":{"p99Us":1e12}}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run(context.Background(), append(args, "-baseline", fixture), &out); err != nil {
 		t.Fatalf("gated run: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "within baseline envelope") {
 		t.Errorf("gate verdict missing:\n%s", out.String())
+	}
+}
+
+// TestRejectsEmptyRuns: a run that cannot issue a request is an error,
+// not a zero report.
+func TestRejectsEmptyRuns(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-conns", "0"},
+		{"-conns", "-1"},
+		{"-duration", "0s"},
+		{"-duration", "-1s"},
+	} {
+		var out bytes.Buffer
+		args := append([]string{"-inprocess", "-warmup", "0s", "-stages", "4"}, bad...)
+		if err := run(context.Background(), args, &out); err == nil {
+			t.Errorf("%v accepted:\n%s", bad, out.String())
+		}
 	}
 }
 
@@ -119,17 +163,31 @@ func TestRunOpenLoop(t *testing.T) {
 }
 
 // TestGateRejectsRegression: a fabricated faster baseline trips the
-// served-RPS floor.
+// served-RPS floor, and a baseline without the run's codec row (a
+// flat report included) is refused.
 func TestGateRejectsRegression(t *testing.T) {
 	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	// Same refCheckUs (speed ratio 1), absurdly high baseline RPS.
-	if err := os.WriteFile(base, []byte(`{"refCheckUs":1,"servedRPS":1e12,"latency":{"p99Us":1}}`), 0o644); err != nil {
-		t.Fatal(err)
+	write := func(name, body string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	cur := report{RefCheckUs: 1, ServedRPS: 1000, Latency: latencyReport{P99Us: 100}}
+	// Same refCheckUs (speed ratio 1), absurdly high baseline RPS.
+	base := write("base.json", `{"codecs":{"json":{"refCheckUs":1,"servedRPS":1e12,"latency":{"p99Us":1}}}}`)
+	cur := report{Codec: "json", RefCheckUs: 1, ServedRPS: 1000, Latency: latencyReport{P99Us: 100}}
 	var out bytes.Buffer
-	if err := gate(&out, cur, base, 20); err == nil {
-		t.Fatalf("gate accepted a 10^9x regression:\n%s", out.String())
+	if err := gate(&out, cur, base, 20); err == nil || !strings.Contains(err.Error(), "served RPS regression") {
+		t.Fatalf("gate accepted a 10^9x regression (err %v):\n%s", err, out.String())
+	}
+	for name, body := range map[string]string{
+		"bin-only.json": `{"codecs":{"bin":{"refCheckUs":1,"servedRPS":1,"latency":{"p99Us":1e12}}}}`,
+		"flat.json":     `{"refCheckUs":1,"servedRPS":1,"latency":{"p99Us":1e12}}`,
+	} {
+		if err := gate(&out, cur, write(name, body), 20); err == nil || !strings.Contains(err.Error(), `no "json" codec row`) {
+			t.Errorf("%s: err %v, want missing codec row", name, err)
+		}
 	}
 }

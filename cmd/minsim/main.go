@@ -47,6 +47,71 @@ func main() {
 	}
 }
 
+// mode is a set of the ways minsim runs: the model (wave or buffered)
+// crossed with a single run or a -sweep grid.
+type mode uint8
+
+const (
+	waveRun mode = 1 << iota
+	bufferedRun
+	waveSweep
+	bufferedSweep
+
+	anyRun      = waveRun | bufferedRun
+	anySweep    = waveSweep | bufferedSweep
+	anyWave     = waveRun | waveSweep
+	anyBuffered = bufferedRun | bufferedSweep
+	anyMode     = anyRun | anySweep
+)
+
+var modeNames = [...]string{"wave run", "buffered run", "wave sweep", "buffered sweep"}
+
+func (m mode) String() string {
+	var names []string
+	for i, name := range modeNames {
+		if m&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// modeOf resolves -model and -sweep to one mode.
+func modeOf(model string, sweep bool) (mode, error) {
+	var m mode
+	switch model {
+	case "wave":
+		m = waveRun
+	case "buffered":
+		m = bufferedRun
+	default:
+		return 0, fmt.Errorf("unknown model %q", model)
+	}
+	if sweep {
+		m <<= 2 // waveRun -> waveSweep, bufferedRun -> bufferedSweep
+	}
+	return m, nil
+}
+
+// flagModes is the modes that read each flag. The sweep grid fixes its
+// own traffic (Bernoulli at each grid load), networks (-nets) and fault
+// axis (-faultrates); only the wave model takes -waves and -kernel, and
+// only the buffered one its queue, lane, cycle and replication flags.
+// A flag missing here is rejected in every mode.
+var flagModes = map[string]mode{
+	"n": anyMode, "model": anyMode, "sweep": anyMode, "seed": anyMode, "workers": anyMode, "patterns": anyMode,
+
+	"net": anyRun, "counter": anyRun, "pattern": anyRun, "load": anyRun, "faults": anyRun,
+	"hotspot": anyRun, "burst": anyRun, "idleload": anyRun,
+
+	"nets": anySweep, "loads": anySweep, "faultrates": anySweep,
+
+	"waves": anyWave, "kernel": waveRun,
+
+	"reps": anyBuffered, "queue": anyBuffered, "lanes": anyBuffered, "cycles": anyBuffered, "warmup": anyBuffered,
+	"queues": bufferedSweep, "lanegrid": bufferedSweep,
+}
+
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("minsim", flag.ContinueOnError)
 	netName := fs.String("net", min.Omega, "network name")
@@ -86,45 +151,27 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return nil
 	}
 
-	common := []min.Option{
-		min.WithSeed(*seed), min.WithWorkers(*workers),
-		min.WithScenario(*pattern),
-		min.WithHotspot(0, *hotspot), min.WithBurst(*burst, *idleLoad),
+	m, err := modeOf(*model, *sweep)
+	if err != nil {
+		return err
 	}
-	// The wave model historically offers full load unless -load is given
-	// (load-aware patterns excepted); the buffered model always thins to
-	// -load. min.WithLoad implements exactly that when applied on demand.
-	loadSet, kernelSet := false, false
+	// A flag set outside the modes that read it would be silently
+	// dropped: reject it, naming the flag.
+	loadSet := false
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "load":
-			loadSet = true
-		case "kernel":
-			kernelSet = true
+		if allowed := flagModes[f.Name]; allowed&m == 0 && err == nil {
+			err = fmt.Errorf("-%s is not used by a %s (it applies to: %s)", f.Name, m, allowed)
 		}
+		// The wave model offers full load unless -load is given
+		// (load-aware patterns excepted); the buffered model always
+		// thins to -load.
+		loadSet = loadSet || f.Name == "load"
 	})
+	if err != nil {
+		return err
+	}
 
 	if *sweep {
-		// The sweep grid fixes its own traffic (Bernoulli at each grid
-		// load) and network list; reject flags it would silently drop.
-		if *counter {
-			return fmt.Errorf("-sweep runs the catalog networks; it cannot be combined with -counter")
-		}
-		patternSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "pattern" {
-				patternSet = true
-			}
-		})
-		if patternSet {
-			return fmt.Errorf("-sweep always uses bernoulli traffic at each grid load; -pattern is not supported")
-		}
-		if *model != "buffered" && (*queues != "" || *laneGrid != "") {
-			return fmt.Errorf("-queues/-lanegrid apply to the buffered sweep only")
-		}
-		if *faults != "" {
-			return fmt.Errorf("-sweep varies faults through -faultrates, not -faults")
-		}
 		return runSweep(ctx, w, sweepSpec{
 			model: *model, n: *n, nets: *nets, loads: *loads,
 			queues: *queues, laneGrid: *laneGrid, faultRates: *faultRates,
@@ -132,8 +179,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			cycles: *cycles, warmup: *warmup,
 		}, *seed, *workers)
 	}
-	if *faultRates != "" {
-		return fmt.Errorf("-faultrates is a -sweep axis; use -faults for a single run")
+
+	common := []min.Option{
+		min.WithSeed(*seed), min.WithWorkers(*workers),
+		min.WithScenario(*pattern),
+		min.WithHotspot(0, *hotspot), min.WithBurst(*burst, *idleLoad),
 	}
 
 	plan, err := parseFaultSpec(*faults)
@@ -149,8 +199,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 
-	switch *model {
-	case "wave":
+	if m == waveRun {
 		opts := append(common, min.WithWaves(*waves), min.WithKernel(min.Kernel(*kernel)))
 		// Load-aware scenarios (bernoulli, bursty) have always consumed
 		// -load, default included; other patterns offer full load unless
@@ -171,40 +220,33 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			fmt.Fprintf(w, "  faults: %s; %d packets killed by faults\n", *faults, st.FaultDropped)
 		}
 		return nil
-
-	case "buffered":
-		if kernelSet {
-			return fmt.Errorf("-kernel selects the wave executor; the buffered model has no bit-sliced form")
-		}
-		st, err := min.SimulateBuffered(ctx, nw, append(common,
-			min.WithLoad(*load), min.WithQueue(*queue), min.WithLanes(*lanes),
-			min.WithCycles(*cycles), min.WithWarmup(*warmup),
-			min.WithReplications(*reps))...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s n=%d (N=%d), buffered, %s traffic, load %.2f, queue %d, lanes %d, %d cycles, %d reps:\n",
-			st.Network, st.Stages, st.Terminals, st.Scenario, *load, *queue, *lanes, *cycles, *reps)
-		fmt.Fprintf(w, "  throughput   %.4f ± %.4f per terminal per cycle\n",
-			st.Throughput.Mean, st.Throughput.CI95)
-		fmt.Fprintf(w, "  mean latency %.2f ± %.2f cycles (p50 %.0f, p95 %.0f, p99 %.0f)\n",
-			st.Latency.Mean, st.Latency.CI95,
-			st.LatencyP50.Mean, st.LatencyP95.Mean, st.LatencyP99.Mean)
-		fmt.Fprintf(w, "  injected %d, delivered %d, rejected %d, dropped %d, misrouted %d, in flight %d\n",
-			st.Injected, st.Delivered, st.Rejected, st.Dropped, st.Misrouted, st.InFlight)
-		if !plan.Empty() {
-			fmt.Fprintf(w, "  faults: %s; %d packets killed by faults\n", *faults, st.FaultDropped)
-		}
-		fmt.Fprintf(w, "  max lane occupancy %d; mean stage occupancy", st.MaxOccupancy)
-		for _, occ := range st.StageOccupancy {
-			fmt.Fprintf(w, " %.1f", occ)
-		}
-		fmt.Fprintln(w)
-		return nil
-
-	default:
-		return fmt.Errorf("unknown model %q", *model)
 	}
+
+	st, err := min.SimulateBuffered(ctx, nw, append(common,
+		min.WithLoad(*load), min.WithQueue(*queue), min.WithLanes(*lanes),
+		min.WithCycles(*cycles), min.WithWarmup(*warmup),
+		min.WithReplications(*reps))...)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s n=%d (N=%d), buffered, %s traffic, load %.2f, queue %d, lanes %d, %d cycles, %d reps:\n",
+		st.Network, st.Stages, st.Terminals, st.Scenario, *load, *queue, *lanes, *cycles, *reps)
+	fmt.Fprintf(w, "  throughput   %.4f ± %.4f per terminal per cycle\n",
+		st.Throughput.Mean, st.Throughput.CI95)
+	fmt.Fprintf(w, "  mean latency %.2f ± %.2f cycles (p50 %.0f, p95 %.0f, p99 %.0f)\n",
+		st.Latency.Mean, st.Latency.CI95,
+		st.LatencyP50.Mean, st.LatencyP95.Mean, st.LatencyP99.Mean)
+	fmt.Fprintf(w, "  injected %d, delivered %d, rejected %d, dropped %d, misrouted %d, in flight %d\n",
+		st.Injected, st.Delivered, st.Rejected, st.Dropped, st.Misrouted, st.InFlight)
+	if !plan.Empty() {
+		fmt.Fprintf(w, "  faults: %s; %d packets killed by faults\n", *faults, st.FaultDropped)
+	}
+	fmt.Fprintf(w, "  max lane occupancy %d; mean stage occupancy", st.MaxOccupancy)
+	for _, occ := range st.StageOccupancy {
+		fmt.Fprintf(w, " %.1f", occ)
+	}
+	fmt.Fprintln(w)
+	return nil
 }
 
 // parseFaultSpec builds a fault plan from the -faults syntax: rate
@@ -369,8 +411,7 @@ func runSweep(ctx context.Context, w io.Writer, sp sweepSpec, seed uint64, worke
 		return append(opts, min.WithFaults(min.FaultPlan{SwitchDeadRate: rate}))
 	}
 	common := []min.Option{min.WithSeed(seed), min.WithWorkers(workers)}
-	switch sp.model {
-	case "wave":
+	if sp.model == "wave" {
 		fmt.Fprintf(w, "sweep: wave model, n=%d (N=%d), %d networks x %d fault rates x %d loads\n",
 			sp.n, 1<<uint(sp.n), len(names), len(rateVals), len(loadVals))
 		fmt.Fprintf(w, "%-26s", "network")
@@ -403,55 +444,51 @@ func runSweep(ctx context.Context, w io.Writer, sp sweepSpec, seed uint64, worke
 			}
 		}
 		return nil
+	}
 
-	case "buffered":
-		queueVals, err := parseInts(sp.queues, sp.queue)
+	queueVals, err := parseInts(sp.queues, sp.queue)
+	if err != nil {
+		return err
+	}
+	laneVals, err := parseInts(sp.laneGrid, sp.lanes)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "sweep: buffered model, n=%d (N=%d), %d networks x %d loads x %d queues x %d lanes x %d fault rates\n",
+		sp.n, 1<<uint(sp.n), len(names), len(loadVals), len(queueVals), len(laneVals), len(rateVals))
+	fmt.Fprintf(w, "%-26s %-6s %-6s", "network", "queue", "lanes")
+	if faultAxis {
+		fmt.Fprintf(w, " %-7s", "dead")
+	}
+	fmt.Fprintf(w, " %-6s %-11s %-8s %-9s %-14s\n",
+		"load", "throughput", "dropped", "rejected", "p50/p95/p99")
+	for _, name := range names {
+		nw, err := buildNetwork(false, name, sp.n)
 		if err != nil {
 			return err
 		}
-		laneVals, err := parseInts(sp.laneGrid, sp.lanes)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "sweep: buffered model, n=%d (N=%d), %d networks x %d loads x %d queues x %d lanes x %d fault rates\n",
-			sp.n, 1<<uint(sp.n), len(names), len(loadVals), len(queueVals), len(laneVals), len(rateVals))
-		fmt.Fprintf(w, "%-26s %-6s %-6s", "network", "queue", "lanes")
-		if faultAxis {
-			fmt.Fprintf(w, " %-7s", "dead")
-		}
-		fmt.Fprintf(w, " %-6s %-11s %-8s %-9s %-14s\n",
-			"load", "throughput", "dropped", "rejected", "p50/p95/p99")
-		for _, name := range names {
-			nw, err := buildNetwork(false, name, sp.n)
-			if err != nil {
-				return err
-			}
-			for _, q := range queueVals {
-				for _, lanes := range laneVals {
-					for _, rate := range rateVals {
-						for _, l := range loadVals {
-							st, err := min.SimulateBuffered(ctx, nw, withFaults(append(common,
-								min.WithLoad(l), min.WithQueue(q), min.WithLanes(lanes),
-								min.WithCycles(sp.cycles), min.WithWarmup(sp.warmup),
-								min.WithReplications(sp.reps)), rate)...)
-							if err != nil {
-								return err
-							}
-							fmt.Fprintf(w, "%-26s %-6d %-6d", nw.Name(), q, lanes)
-							if faultAxis {
-								fmt.Fprintf(w, " %-7.3f", rate)
-							}
-							fmt.Fprintf(w, " %-6.2f %-11.4f %-8d %-9d %3.0f/%3.0f/%3.0f\n",
-								l, st.Throughput.Mean, st.Dropped, st.Rejected,
-								st.LatencyP50.Mean, st.LatencyP95.Mean, st.LatencyP99.Mean)
+		for _, q := range queueVals {
+			for _, lanes := range laneVals {
+				for _, rate := range rateVals {
+					for _, l := range loadVals {
+						st, err := min.SimulateBuffered(ctx, nw, withFaults(append(common,
+							min.WithLoad(l), min.WithQueue(q), min.WithLanes(lanes),
+							min.WithCycles(sp.cycles), min.WithWarmup(sp.warmup),
+							min.WithReplications(sp.reps)), rate)...)
+						if err != nil {
+							return err
 						}
+						fmt.Fprintf(w, "%-26s %-6d %-6d", nw.Name(), q, lanes)
+						if faultAxis {
+							fmt.Fprintf(w, " %-7.3f", rate)
+						}
+						fmt.Fprintf(w, " %-6.2f %-11.4f %-8d %-9d %3.0f/%3.0f/%3.0f\n",
+							l, st.Throughput.Mean, st.Dropped, st.Rejected,
+							st.LatencyP50.Mean, st.LatencyP95.Mean, st.LatencyP99.Mean)
 					}
 				}
 			}
 		}
-		return nil
-
-	default:
-		return fmt.Errorf("unknown model %q", sp.model)
 	}
+	return nil
 }

@@ -121,6 +121,20 @@ func TestSweepMode(t *testing.T) {
 		"-nets", "omega, flip", "-loads", "0.5, 1.0"); err != nil {
 		t.Errorf("whitespace in list flags rejected: %v", err)
 	}
+	// Single-run flags the wave sweep never reads are rejected by name.
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-kernel", "bit"}, "-kernel"},
+		{[]string{"-load", "0.3", "-reps", "4"}, "-load"},
+		{[]string{"-reps", "4"}, "-reps"},
+	} {
+		_, err := runSim(t, append([]string{"-sweep", "-n", "3"}, tc.args...)...)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" is not used by a wave sweep") {
+			t.Errorf("-sweep %v: err %v, want %s rejected", tc.args, err, tc.flag)
+		}
+	}
 }
 
 func TestBufferedLanesAndPattern(t *testing.T) {
@@ -203,6 +217,15 @@ func TestSimErrors(t *testing.T) {
 	}
 	if _, err := runSim(t, "-model", "buffered", "-n", "3", "-queue", "0"); err == nil {
 		t.Error("zero queue accepted")
+	}
+	// A flag the run's model never reads is rejected by name.
+	if _, err := runSim(t, "-n", "3", "-queue", "9", "-cycles", "7"); err == nil ||
+		!strings.Contains(err.Error(), "-cycles is not used by a wave run") {
+		t.Errorf("wave run with -queue/-cycles: err %v, want -cycles rejected", err)
+	}
+	if _, err := runSim(t, "-n", "3", "-model", "buffered", "-waves", "9"); err == nil ||
+		!strings.Contains(err.Error(), "-waves is not used by a buffered run") {
+		t.Errorf("buffered run with -waves: err %v, want -waves rejected", err)
 	}
 }
 

@@ -2,8 +2,12 @@ package codec
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"minequiv/internal/jobs"
@@ -202,6 +206,39 @@ func TestRoundTripAllShapes(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, v) {
 				t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, v)
+			}
+		})
+	}
+}
+
+// TestWireBytesGolden pins the frame bytes of every fixture to
+// testdata/<name>.golden (hex, whitespace ignored). Round trips alone
+// cannot see a layout change made to the encoder and decoder together;
+// Version must move for one, and the goldens with it.
+func TestWireBytesGolden(t *testing.T) {
+	for name, v := range fixtures() {
+		t.Run(name, func(t *testing.T) {
+			text, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := hex.DecodeString(strings.Join(strings.Fields(string(text)), ""))
+			if err != nil {
+				t.Fatalf("%s.golden: %v", name, err)
+			}
+			wire, err := Encode(v)
+			if err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			if !bytes.Equal(wire, golden) {
+				t.Errorf("encoding differs from %s.golden; got\n%x", name, wire)
+			}
+			got := fresh(v)
+			if err := Decode(golden, got); err != nil {
+				t.Fatalf("Decode(golden): %v", err)
+			}
+			if !reflect.DeepEqual(got, v) {
+				t.Errorf("golden decodes to\n %+v\nwant %+v", got, v)
 			}
 		})
 	}

@@ -8,10 +8,11 @@
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // an Analyzer with a Run(*Pass) hook reporting Diagnostics — but is
-// built entirely on the standard library (go/ast, go/types, and a
-// `go list -export` package loader) so the module keeps its zero
-// -dependency go.mod. cmd/minlint is the multichecker driver; it also
-// speaks the `go vet -vettool` unit-checker protocol.
+// built entirely on the standard library (go/ast, go/types) so the
+// module keeps its zero-dependency go.mod. cmd/minlint is the
+// multichecker driver: it runs the analyzers only as a `go vet
+// -vettool`, so the go command loads and compiles every package and
+// hands each compile unit to it through the unit-checker protocol.
 //
 // Suppression policy: a finding is silenced by the directive comment
 //
@@ -97,9 +98,9 @@ func (p *Pass) AllFiles() []*ast.File {
 }
 
 // IsTestFile reports whether the file containing pos is a _test.go
-// file. Analyzers that enforce production-code contracts skip those so
-// standalone and vet-driver runs agree (the vet driver hands test
-// variants to analyzers as full packages).
+// file. Analyzers that enforce production-code contracts skip those:
+// the vet driver hands test variants to analyzers as full packages,
+// with the test files among Files.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
@@ -204,8 +205,8 @@ func (s *suppressionIndex) allows(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// Package is one loaded, analyzable package (see load.go and the
-// linttest fixture loader).
+// Package is one loaded, analyzable package (see cmd/minlint's
+// unit checker and the linttest fixture loader).
 type Package struct {
 	Path       string
 	Fset       *token.FileSet
