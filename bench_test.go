@@ -404,14 +404,15 @@ func BenchmarkBufferedRunner(b *testing.B) {
 // BenchmarkFabricKernel pins the unified fabric kernel both runners
 // drive: a full fabric's worth of crossbar decisions (every stage, every
 // cell, a rotating destination) plus the inter-stage forward, on the
-// intact fabric and under an active fault state. Both paths must be
-// 0 allocs/op; CI gates on it.
+// intact omega tag fabric, under an active fault state, and on the
+// dense tail-cycle fabric. Every path must be 0 allocs/op; CI gates on
+// it.
 func BenchmarkFabricKernel(b *testing.B) {
 	f, err := sim.NewFabric(topology.MustBuild(topology.NameOmega, 10).LinkPerms)
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, fs *sim.FaultState) {
+	run := func(b *testing.B, f *sim.Fabric, fs *sim.FaultState) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		sink := uint64(0)
@@ -422,7 +423,7 @@ func BenchmarkFabricKernel(b *testing.B) {
 			b.Fatal("kernel steered nothing")
 		}
 	}
-	b.Run("intact", func(b *testing.B) { run(b, nil) })
+	b.Run("intact", func(b *testing.B) { run(b, f, nil) })
 	b.Run("faulted", func(b *testing.B) {
 		fs := f.NewFaultState()
 		err := fs.Sample(sim.FaultPlan{SwitchDeadRate: 0.02, SwitchStuckRate: 0.02, LinkDownRate: 0.01},
@@ -430,17 +431,34 @@ func BenchmarkFabricKernel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run(b, fs)
+		run(b, f, fs)
 	})
+	b.Run("tail-cycle", func(b *testing.B) { run(b, tailCycleFabric(b, 10), nil) })
+}
+
+// tailCycleFabric compiles the n-stage tail-cycle counterexample: Banyan
+// but not baseline-equivalent, so it keeps the dense reach/port planes.
+func tailCycleFabric(b *testing.B, n int) *sim.Fabric {
+	b.Helper()
+	perms, err := randnet.TailCycleLinkPerms(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := sim.NewFabric(perms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f
 }
 
 // BenchmarkFabricCompile times what a cold simulate pays before its
-// first wave: a cold sim.NewFabric at n=6, 8 and 10 (the reach/port
-// planes), and separately the first NewBitWaveRunner on a fresh n=10
-// fabric, which builds the path-tag table only runs of at least one
-// whole 64-wave batch need.
+// first wave: a cold sim.NewFabric of omega at n=6 to 14 (a tag
+// fabric) and of tail-cycle at n=10 (dense reach/port planes), and
+// separately the first NewBitWaveRunner on a fresh omega n=10 fabric,
+// which builds the bit tables only runs of at least one whole 64-wave
+// batch need.
 func BenchmarkFabricCompile(b *testing.B) {
-	for _, n := range []int{6, 8, 10} {
+	for _, n := range []int{6, 8, 10, 12, 14} {
 		perms := topology.MustBuild(topology.NameOmega, n).LinkPerms
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -452,6 +470,19 @@ func BenchmarkFabricCompile(b *testing.B) {
 			}
 		})
 	}
+	b.Run("tail-cycle/n=10", func(b *testing.B) {
+		perms, err := randnet.TailCycleLinkPerms(10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f, err := sim.NewFabric(perms)
+			if err != nil || !f.BitSliceable() {
+				b.Fatalf("NewFabric: %v", err)
+			}
+		}
+	})
 	b.Run("bittables/n=10", func(b *testing.B) {
 		perms := topology.MustBuild(topology.NameOmega, 10).LinkPerms
 		b.ReportAllocs()

@@ -15,8 +15,10 @@ type Kernel uint8
 const (
 	// KernelAuto picks the bit-sliced kernel whenever the fabric
 	// qualifies (Fabric.BitSliceable) and the run fills at least one
-	// whole 64-wave batch, and falls back to scalar otherwise. The
-	// default: zero value, zero configuration.
+	// whole 64-wave batch, and falls back to scalar otherwise, leaving
+	// the bit tables unbuilt: the shared fault masks and, on a dense
+	// fabric only, the N² path-tag table. The default: zero value, zero
+	// configuration.
 	KernelAuto Kernel = iota
 	// KernelScalar forces the one-packet-at-a-time kernel (the oracle
 	// the bit-sliced kernel is verified against).

@@ -172,7 +172,8 @@ func prepareWaves(f *sim.Fabric, pattern sim.Traffic, trials int, cfg Config) (w
 	switch cfg.Kernel {
 	case KernelAuto:
 		// Fewer than 64 trials never fill a bit-sliced batch: run them
-		// scalar and leave the fabric's bit tables unbuilt.
+		// scalar and leave the fabric's bit tables unbuilt (on a dense
+		// fabric, the N² path-tag table among them).
 		s.useBit = trials >= 64 && f.BitSliceable()
 	case KernelScalar:
 	case KernelBit:

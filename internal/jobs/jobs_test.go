@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,7 +124,7 @@ func TestJobCompletes(t *testing.T) {
 	// arithmetic.
 	g := newGrid(res.Spec)
 	cell := g.cell(0)
-	f, err := fabricForCell(cell)
+	f, err := compileCell(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,13 +415,8 @@ func TestDrainThenResume(t *testing.T) {
 	}
 }
 
-// fabricForCell / patternForCell mirror DefaultRunner's resolution for
+// patternForCell mirrors DefaultRunner's scenario resolution for
 // direct engine comparisons in tests.
-func fabricForCell(cell Cell) (*sim.Fabric, error) {
-	fc := &fabricCache{}
-	return fc.get(cell.Network, cell.Stages)
-}
-
 func patternForCell(t *testing.T, cell Cell) sim.Traffic {
 	t.Helper()
 	sc, ok := sim.LookupScenario(cell.Scenario)
@@ -432,37 +426,4 @@ func patternForCell(t *testing.T, cell Cell) sim.Traffic {
 	params := sim.DefaultScenarioParams()
 	params.Load = cell.Load
 	return sc.Traffic(params)
-}
-
-// TestFabricCacheConcurrentFirstGet: racing first lookups of one key
-// compile once and all receive the same fabric (run under -race).
-func TestFabricCacheConcurrentFirstGet(t *testing.T) {
-	fc := &fabricCache{}
-	const callers = 8
-	got := make([]*sim.Fabric, callers)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f, err := fc.get(topology.NameOmega, 8)
-			if err != nil {
-				t.Error(err)
-			}
-			got[i] = f
-		}()
-	}
-	// A second key resolves alongside the racing first lookups.
-	if _, err := fc.get(topology.NameBaseline, 4); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for i, f := range got {
-		if f == nil || f != got[0] {
-			t.Fatalf("caller %d got fabric %p, caller 0 got %p", i, f, got[0])
-		}
-	}
-	if _, err := fc.get("nope", 4); err == nil {
-		t.Error("unknown network compiled")
-	}
 }

@@ -3,7 +3,6 @@ package jobs
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"minequiv/internal/engine"
 	"minequiv/internal/sim"
@@ -18,50 +17,26 @@ import (
 // substitute wrappers that inject failures, stalls, and poison.
 type Runner func(ctx context.Context, cell Cell, lo, hi int) (engine.WavePartial, error)
 
-// fabricCache memoizes compiled fabrics per (network, stages): every
-// shard of a cell — and every cell sharing a topology — reuses one
-// fabric. Compiling itself is cheap (under a millisecond at n=10); what
-// sharing amortizes is the bit kernel's path-tag table (a few
-// milliseconds and 2 MiB at n=10), which a fabric builds lazily on its
-// first bit runner and then lends to every shard. The mutex guards
-// only the key table; each key compiles once under its own
-// sync.OnceValues, so no compile ever runs under the mutex.
-type fabricCache struct {
-	mu sync.Mutex
-	m  map[string]func() (*sim.Fabric, error)
-}
-
-func (fc *fabricCache) get(network string, stages int) (*sim.Fabric, error) {
-	key := fmt.Sprintf("%s|%d", network, stages)
-	fc.mu.Lock()
-	compile, ok := fc.m[key]
-	if !ok {
-		compile = sync.OnceValues(func() (*sim.Fabric, error) {
-			nw, err := topology.Build(network, stages)
-			if err != nil {
-				return nil, err
-			}
-			return sim.NewFabric(nw.LinkPerms)
-		})
-		if fc.m == nil {
-			fc.m = map[string]func() (*sim.Fabric, error){}
-		}
-		fc.m[key] = compile
+// compileCell builds the cell's catalog network and compiles its
+// fabric. A catalog network compiles to a tag fabric in tens of
+// microseconds with no N² table, against tens of milliseconds of kernel
+// work in a shard at n=10, so nothing is cached: every shard compiles
+// its own.
+func compileCell(cell Cell) (*sim.Fabric, error) {
+	nw, err := topology.Build(cell.Network, cell.Stages)
+	if err != nil {
+		return nil, err
 	}
-	fc.mu.Unlock()
-	return compile()
+	return sim.NewFabric(nw.LinkPerms)
 }
 
-// DefaultRunner returns the production Runner: it compiles (and
-// caches) the cell's fabric, resolves the scenario at the cell's load
-// with sim.Scenario.Traffic, and hands the range to
-// engine.RunWaveRange — the executor RunWaves shards — with the cell's
-// derived seed root. Fabrics are shared across shards, and sim fabrics
-// are safe for concurrent runners by construction.
+// DefaultRunner returns the production Runner: it compiles the cell's
+// fabric (compileCell), resolves the scenario at the cell's load with
+// sim.Scenario.Traffic, and hands the range to engine.RunWaveRange —
+// the executor RunWaves shards — with the cell's derived seed root.
 func DefaultRunner() Runner {
-	fc := &fabricCache{}
 	return func(ctx context.Context, cell Cell, lo, hi int) (engine.WavePartial, error) {
-		f, err := fc.get(cell.Network, cell.Stages)
+		f, err := compileCell(cell)
 		if err != nil {
 			return engine.WavePartial{}, err
 		}

@@ -14,6 +14,7 @@ package pipid
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"strings"
 
@@ -66,12 +67,19 @@ func (ip IndexPerm) Apply(x uint64) uint64 {
 }
 
 // ToPerm expands the index permutation into the induced permutation on
-// all 2^w symbols — the paper's PIPID(2^w) element.
+// all 2^w symbols — the paper's PIPID(2^w) element. A bit permutation
+// maps each set bit of x to its own output bit, so x's image is its
+// lowest bit's image ORed into the image of x without that bit: one OR
+// per symbol instead of a w-step Apply.
 func (ip IndexPerm) ToPerm() perm.Perm {
 	n := 1 << uint(ip.W())
 	p := make(perm.Perm, n)
-	for x := 0; x < n; x++ {
-		p[x] = ip.Apply(uint64(x))
+	img := make([]uint64, ip.W())
+	for j, t := range ip.Theta {
+		img[t] = 1 << uint(j)
+	}
+	for x := 1; x < n; x++ {
+		p[x] = p[x&(x-1)] | img[bits.TrailingZeros(uint(x))]
 	}
 	return p
 }

@@ -118,6 +118,12 @@ func TestComposeApplyAgreement(t *testing.T) {
 		if !a.Compose(b).ToPerm().Equal(a.ToPerm().Compose(b.ToPerm())) {
 			t.Fatal("ToPerm not a homomorphism")
 		}
+		// ToPerm's incremental expansion is Apply on every symbol.
+		for y, got := range a.ToPerm() {
+			if want := a.Apply(uint64(y)); got != want {
+				t.Fatalf("w=%d: ToPerm[%d] = %d, Apply = %d", w, y, got, want)
+			}
+		}
 	}
 }
 

@@ -19,11 +19,16 @@ import (
 // construction, not by luck; three contracts make that hold:
 //
 //  1. Tag planes. BitSliceable fabrics are Banyan (unique-path), so a
-//     packet's whole port schedule is the Fabric.pathTag of its
-//     (src, dst) pair, built on the fabric's first NewBitWaveRunner —
-//     bit s of the tag is the port the scalar planes steer at stage
-//     s. Plane tag[s] carries that bit for every in-flight lane,
-//     indexed by current inlink.
+//     packet's whole port schedule is fixed by its (src, dst) pair.
+//     On a tag fabric it is the destination's Fabric.tag with each
+//     visited cell's flip (bit s of its key) applied at stage s: the
+//     kernel gathers the source-independent N-entry tag and XORs the
+//     flip into the port planes cell by cell. On a dense fabric it is
+//     the Fabric.pathTag of the pair, built on the fabric's first
+//     NewBitWaveRunner, and no flip applies. Either way the port at
+//     stage s is the one the scalar steer returns. Plane tag[s]
+//     carries tag bit s for every in-flight lane, indexed by current
+//     inlink.
 //  2. Salt tie-breaks. Conflicts are strictly between the two inlinks
 //     of one cell, so one salt bit per (stage, cell) — drawn as
 //     ceil(H/64) uint64 words per stage from the wave's own rng, the
@@ -200,7 +205,8 @@ type BitWaveRunner struct {
 
 // NewBitWaveRunner returns a bit-sliced runner for f, or an error when
 // the fabric does not qualify (see Fabric.BitSliceable). The first call
-// on a fabric builds its path tags (O(N^2) time, 2*N^2 bytes); later
+// on a fabric builds its bit tables: the shared fault masks and, on a
+// dense fabric only, the path tags (O(N^2) time, 2*N^2 bytes); later
 // calls, concurrent ones included, share them.
 func (f *Fabric) NewBitWaveRunner() (*BitWaveRunner, error) {
 	if !f.BitSliceable() {
@@ -282,9 +288,10 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 	}
 	// Phase two, source-major: build the live and tag planes one source
 	// at a time, so each path-tag row is streamed exactly once per batch
-	// (lane-major packing would re-walk the whole table per lane — with
+	// (lane-major packing would re-walk a dense N² table per lane — with
 	// the table past L2 that is the dominant cost of the batch) and the
-	// per-plane bits accumulate in registers instead of heap RMWs. Lanes
+	// per-plane bits accumulate in registers instead of heap RMWs. A tag
+	// fabric's rows are all its one N-entry tag table (stride 0). Lanes
 	// beyond the batch are masked out of live; their stale tag and salt
 	// bits are harmless, as every kernel read is masked by live.
 	laneMask := ^uint64(0)
@@ -296,13 +303,14 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 	// plane b's lane word for source src+q. This replaces a per-lane
 	// per-bit scatter (64*Spans dependent ops per source) with ~1/3 the
 	// work in straight-line word ops.
+	tags, stride := f.bitTags()
 	var blk [64]uint64
 	src := 0
 	for ; src+3 < N; src += 4 {
-		row0 := f.pathTag[src*N : src*N+N]
-		row1 := f.pathTag[(src+1)*N : (src+2)*N]
-		row2 := f.pathTag[(src+2)*N : (src+3)*N]
-		row3 := f.pathTag[(src+3)*N : (src+4)*N]
+		row0 := tags[src*stride : src*stride+N]
+		row1 := tags[(src+1)*stride : (src+1)*stride+N]
+		row2 := tags[(src+2)*stride : (src+2)*stride+N]
+		row3 := tags[(src+3)*stride : (src+3)*stride+N]
 		col := r.dstAll[src*64 : (src+4)*64]
 		var lv0, lv1, lv2, lv3 uint64
 		for j := 0; j < 64; j++ {
@@ -335,7 +343,7 @@ func (r *BitWaveRunner) RunTraffic(pattern Traffic, rngs []*rand.Rand) (BitWaveR
 	}
 	// Tail for N < 4 (two-stage fabrics): direct per-bit scatter.
 	for ; src < N; src++ {
-		row := f.pathTag[src*N : src*N+N]
+		row := tags[src*stride : src*stride+N]
 		col := r.dstAll[src*64 : src*64+64]
 		var lv uint64
 		for b := 0; b < n; b++ {
@@ -391,7 +399,8 @@ func (r *BitWaveRunner) clearPlanes() {
 
 // steerPlanes is the kernel: one pass per stage over the H cells,
 // advancing all lanes with word-parallel boolean algebra in the scalar
-// steer's exact fault precedence.
+// steer's exact fault precedence. On a tag fabric each cell's flip bit
+// turns its tag bits into ports.
 //
 //minlint:hotpath
 func (r *BitWaveRunner) steerPlanes() {
@@ -410,6 +419,10 @@ func (r *BitWaveRunner) steerPlanes() {
 		ldRow := bf.linkDown[s*N : (s+1)*N]
 		saltRow := r.saltBlk[s*saltWords*64 : (s+1)*saltWords*64]
 		tagS := r.tag[s]
+		var keyRow []uint16
+		if f.flips {
+			keyRow = f.key[s*H : (s+1)*H]
+		}
 		var next []uint64
 		if !last {
 			next = f.stages[s].next
@@ -445,9 +458,14 @@ func (r *BitWaveRunner) steerPlanes() {
 				r.countPlain(s, m)
 				lb &^= m
 			}
-			// Port planes; a stuck switch forces them, derailing the
-			// lanes whose tag bit disagrees (tracked, dropped later).
+			// Port planes: the tag bits, through the cell's flip on a tag
+			// fabric. A stuck switch forces them, derailing the lanes
+			// whose port disagrees (tracked, dropped later).
 			pA, pB := tagS[in0], tagS[in1]
+			if keyRow != nil {
+				flip := -(uint64(keyRow[c]) >> uint(s) & 1)
+				pA, pB = pA^flip, pB^flip
+			}
 			s0, s1 := st0Row[c], st1Row[c]
 			fA := (pA &^ s0) | s1
 			fB := (pB &^ s0) | s1
@@ -556,9 +574,10 @@ func (r *BitWaveRunner) BitSteerSweep(salt int) uint64 {
 	n, N := f.Spans, f.N
 	r.clearPlanes()
 	all := ^uint64(0)
+	tags, stride := f.bitTags()
 	for src := 0; src < N; src++ {
 		dst := (src + salt) & (N - 1)
-		tag := uint64(f.pathTag[src*N+dst])
+		tag := uint64(tags[src*stride+dst])
 		r.live[src] = all
 		for b := 0; b < n; b++ {
 			r.tag[b][src] = (tag >> uint(b) & 1) * all

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 
 	"minequiv/internal/bitops"
 	"minequiv/internal/perm"
+	"minequiv/internal/randnet"
 	"minequiv/internal/topology"
 )
 
@@ -68,7 +70,9 @@ func bitLaneFaults(t *testing.T, f *Fabric, plan FaultPlan, fseed uint64, lanes 
 }
 
 // TestBitWaveMatchesScalar is the kernel-equivalence property at the
-// sim layer: for every registry topology, several sizes, traffic
+// sim layer: for every registry topology, a scramble of each (tag
+// fabrics whose cells carry port flips), tail-cycle (the dense bit
+// kernel path), several sizes, traffic
 // patterns, fault plans and batch widths, lane j of the bit-sliced
 // kernel must reproduce the scalar wave of the identical rng stream
 // counter for counter, and the pooled DropStage must match the scalar
@@ -95,79 +99,102 @@ func TestBitWaveMatchesScalar(t *testing.T) {
 		{"bernoulli-0.6", Bernoulli(0.6)},
 		{"bit-reversal", BitReversal()},
 	}
-	for _, name := range topology.Names() {
-		for _, n := range []int{3, 5} {
-			f := fabricFor(t, name, n)
-			wr := f.NewWaveRunner()
-			br := bitRunnerFor(t, f)
-			for _, pl := range plans {
-				for _, tr := range traffics {
-					for _, lanes := range []int{1, 5, 64} {
-						const seed, fseed = 0xABCD, 0xF00D
-						// Scalar reference, one lane at a time.
-						var (
-							scal      [64]WaveResult
-							dropStage = make([]int, f.Spans)
-						)
-						fs := f.NewFaultState()
-						for j := 0; j < lanes; j++ {
-							if pl.use {
-								fs.Resample(pl.plan, rand.New(rand.NewPCG(fseed, uint64(j))))
-								if err := wr.SetFaults(fs); err != nil {
-									t.Fatal(err)
-								}
-							} else if err := wr.SetFaults(nil); err != nil {
-								t.Fatal(err)
-							}
-							res, err := wr.RunTraffic(tr.tr, rand.New(rand.NewPCG(seed, uint64(j))))
-							if err != nil {
-								t.Fatalf("%s/n=%d/%s/%s scalar lane %d: %v", name, n, pl.name, tr.name, j, err)
-							}
-							for s, d := range res.DropStage {
-								dropStage[s] += d
-							}
-							res.DropStage = nil
-							scal[j] = res
-						}
-						// Bit-sliced batch on the identical streams.
+	type bitCase struct {
+		name  string
+		perms []perm.Perm
+	}
+	var cases []bitCase
+	for _, n := range []int{3, 5} {
+		rng := rand.New(rand.NewPCG(uint64(n), 17))
+		for _, name := range topology.Names() {
+			lp := topology.MustBuild(name, n).LinkPerms
+			cases = append(cases, bitCase{name, lp}, bitCase{"scrambled-" + name, scrambleLinkPerms(rng, lp)})
+		}
+		tc, err := randnet.TailCycleLinkPerms(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, bitCase{"tail-cycle", tc})
+	}
+	for _, bc := range cases {
+		name := bc.name
+		f, err := NewFabric(bc.perms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(name, "scrambled-") && !f.flips {
+			t.Fatalf("%s: no cell flipped, the flip path goes untested", name)
+		}
+		n := f.Spans
+		wr := f.NewWaveRunner()
+		br := bitRunnerFor(t, f)
+		for _, pl := range plans {
+			for _, tr := range traffics {
+				for _, lanes := range []int{1, 5, 64} {
+					const seed, fseed = 0xABCD, 0xF00D
+					// Scalar reference, one lane at a time.
+					var (
+						scal      [64]WaveResult
+						dropStage = make([]int, f.Spans)
+					)
+					fs := f.NewFaultState()
+					for j := 0; j < lanes; j++ {
 						if pl.use {
-							if err := br.SetFaults(bitLaneFaults(t, f, pl.plan, fseed, lanes)); err != nil {
+							fs.Resample(pl.plan, rand.New(rand.NewPCG(fseed, uint64(j))))
+							if err := wr.SetFaults(fs); err != nil {
 								t.Fatal(err)
 							}
-						} else if err := br.SetFaults(nil); err != nil {
+						} else if err := wr.SetFaults(nil); err != nil {
 							t.Fatal(err)
 						}
-						rngs := make([]*rand.Rand, lanes)
-						for j := range rngs {
-							rngs[j] = rand.New(rand.NewPCG(seed, uint64(j)))
-						}
-						got, err := br.RunTraffic(tr.tr, rngs)
+						res, err := wr.RunTraffic(tr.tr, rand.New(rand.NewPCG(seed, uint64(j))))
 						if err != nil {
-							t.Fatalf("%s/n=%d/%s/%s bit: %v", name, n, pl.name, tr.name, err)
+							t.Fatalf("%s/n=%d/%s/%s scalar lane %d: %v", name, n, pl.name, tr.name, j, err)
 						}
-						if got.Lanes != lanes {
-							t.Fatalf("Lanes = %d, want %d", got.Lanes, lanes)
+						for s, d := range res.DropStage {
+							dropStage[s] += d
 						}
-						for j := 0; j < lanes; j++ {
-							want := scal[j]
-							if got.Offered[j] != want.Offered || got.Delivered[j] != want.Delivered ||
-								got.Dropped[j] != want.Dropped || got.Misrouted[j] != want.Misrouted ||
-								got.FaultDropped[j] != want.FaultDropped {
-								t.Errorf("%s/n=%d/%s/%s lane %d/%d:\n bit    {off %d del %d drop %d mis %d fdrop %d}\n scalar %+v",
-									name, n, pl.name, tr.name, j, lanes,
-									got.Offered[j], got.Delivered[j], got.Dropped[j], got.Misrouted[j], got.FaultDropped[j], want)
-							}
+						res.DropStage = nil
+						scal[j] = res
+					}
+					// Bit-sliced batch on the identical streams.
+					if pl.use {
+						if err := br.SetFaults(bitLaneFaults(t, f, pl.plan, fseed, lanes)); err != nil {
+							t.Fatal(err)
 						}
-						for j := lanes; j < 64; j++ {
-							if got.Offered[j]|got.Delivered[j]|got.Dropped[j]|got.Misrouted[j]|got.FaultDropped[j] != 0 {
-								t.Errorf("%s/n=%d/%s/%s: unused lane %d has non-zero counters", name, n, pl.name, tr.name, j)
-							}
+					} else if err := br.SetFaults(nil); err != nil {
+						t.Fatal(err)
+					}
+					rngs := make([]*rand.Rand, lanes)
+					for j := range rngs {
+						rngs[j] = rand.New(rand.NewPCG(seed, uint64(j)))
+					}
+					got, err := br.RunTraffic(tr.tr, rngs)
+					if err != nil {
+						t.Fatalf("%s/n=%d/%s/%s bit: %v", name, n, pl.name, tr.name, err)
+					}
+					if got.Lanes != lanes {
+						t.Fatalf("Lanes = %d, want %d", got.Lanes, lanes)
+					}
+					for j := 0; j < lanes; j++ {
+						want := scal[j]
+						if got.Offered[j] != want.Offered || got.Delivered[j] != want.Delivered ||
+							got.Dropped[j] != want.Dropped || got.Misrouted[j] != want.Misrouted ||
+							got.FaultDropped[j] != want.FaultDropped {
+							t.Errorf("%s/n=%d/%s/%s lane %d/%d:\n bit    {off %d del %d drop %d mis %d fdrop %d}\n scalar %+v",
+								name, n, pl.name, tr.name, j, lanes,
+								got.Offered[j], got.Delivered[j], got.Dropped[j], got.Misrouted[j], got.FaultDropped[j], want)
 						}
-						for s := range dropStage {
-							if got.DropStage[s] != dropStage[s] {
-								t.Errorf("%s/n=%d/%s/%s DropStage[%d] = %d, want %d",
-									name, n, pl.name, tr.name, s, got.DropStage[s], dropStage[s])
-							}
+					}
+					for j := lanes; j < 64; j++ {
+						if got.Offered[j]|got.Delivered[j]|got.Dropped[j]|got.Misrouted[j]|got.FaultDropped[j] != 0 {
+							t.Errorf("%s/n=%d/%s/%s: unused lane %d has non-zero counters", name, n, pl.name, tr.name, j)
+						}
+					}
+					for s := range dropStage {
+						if got.DropStage[s] != dropStage[s] {
+							t.Errorf("%s/n=%d/%s/%s DropStage[%d] = %d, want %d",
+								name, n, pl.name, tr.name, s, got.DropStage[s], dropStage[s])
 						}
 					}
 				}
@@ -361,15 +388,25 @@ func TestBitSteerSweepDeterministic(t *testing.T) {
 	}
 }
 
-// fuzzFabric is a bit-sliceable fabric whose path tags are built up
-// front: the fuzz target reads pathTag directly, without a runner.
-var fuzzFabric = sync.OnceValue(func() *Fabric {
-	f, err := NewFabric(topology.MustBuild(topology.NameOmega, 4).LinkPerms)
+// fuzzFabrics are bit-sliceable fabrics of both representations, omega
+// (a tag fabric) and tail-cycle (dense), with their bit tables built up
+// front: the fuzz target reads their path tags directly, without a
+// runner.
+var fuzzFabrics = sync.OnceValue(func() []*Fabric {
+	tc, err := randnet.TailCycleLinkPerms(4)
 	if err != nil {
 		panic(err)
 	}
-	f.bitTables()
-	return f
+	var fs []*Fabric
+	for _, perms := range [][]perm.Perm{topology.MustBuild(topology.NameOmega, 4).LinkPerms, tc} {
+		f, err := NewFabric(perms)
+		if err != nil {
+			panic(err)
+		}
+		f.bitTables()
+		fs = append(fs, f)
+	}
+	return fs
 })
 
 // FuzzBitPlaneRoundTrip checks the two pack/unpack pivots the bit
@@ -382,25 +419,26 @@ func FuzzBitPlaneRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
 	f.Add([]byte{0xFF, 0x7F, 0x40}, uint64(7))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
-		fab := fuzzFabric()
-		N, n := fab.N, fab.Spans
-		for src := 0; src < N && src < len(data); src++ {
-			if data[src]&0x80 != 0 {
-				continue // idle terminal
-			}
-			dst := int(data[src]) % N
-			tag := fab.pathTag[src*N+dst]
-			link := uint64(src)
-			for s := 0; s < n; s++ {
-				cell := link >> 1
-				pt := uint64(tag) >> uint(s) & 1
-				link = cell<<1 | pt
-				if s < n-1 {
-					link = fab.forward(s, link)
+		for _, fab := range fuzzFabrics() {
+			N, n := fab.N, fab.Spans
+			for src := 0; src < N && src < len(data); src++ {
+				if data[src]&0x80 != 0 {
+					continue // idle terminal
 				}
-			}
-			if int(link) != dst {
-				t.Fatalf("tag %#x of (src %d, dst %d) walks to terminal %d", tag, src, dst, link)
+				dst := int(data[src]) % N
+				tag := fab.kernelTag(src, dst)
+				link := uint64(src)
+				for s := 0; s < n; s++ {
+					cell := link >> 1
+					pt := uint64(tag) >> uint(s) & 1
+					link = cell<<1 | pt
+					if s < n-1 {
+						link = fab.forward(s, link)
+					}
+				}
+				if int(link) != dst {
+					t.Fatalf("tag %#x of (src %d, dst %d) walks to terminal %d", tag, src, dst, link)
+				}
 			}
 		}
 		var blk, orig [64]uint64

@@ -47,8 +47,8 @@ type WaveResult struct {
 
 // flying is a packet in transit during one wave.
 type flying struct {
-	src, dst int
-	link     uint64
+	dst  int
+	link uint64
 }
 
 // WaveRunner owns the scratch state of the wave model so that repeated
@@ -59,7 +59,7 @@ type WaveRunner struct {
 	f         *Fabric
 	faults    *FaultState
 	pkts      []flying
-	claimed   []int32  // outlink -> packet index claiming it
+	claimed   []int32  // outlink -> 1 + index of the packet claiming it, 0 if free
 	salt      []uint64 // per-stage conflict tie-break words, bit c = cell c
 	dropStage []int
 	dsts      []int // destination buffer for RunTraffic
@@ -119,10 +119,7 @@ func (r *WaveRunner) RunWave(dsts []int, rng *rand.Rand) (WaveResult, error) {
 	if len(dsts) != f.N {
 		return WaveResult{}, fmt.Errorf("sim: %d destinations, want %d", len(dsts), f.N) //minlint:allow hotalloc -- cold validation path
 	}
-	for i := range r.dropStage {
-		r.dropStage[i] = 0
-	}
-	res := WaveResult{DropStage: r.dropStage}
+	res := WaveResult{DropStage: r.dropStage} // every stage's entry is assigned below
 	pkts := r.pkts[:0]
 	for src, dst := range dsts {
 		if dst < 0 {
@@ -131,7 +128,7 @@ func (r *WaveRunner) RunWave(dsts []int, rng *rand.Rand) (WaveResult, error) {
 		if dst >= f.N {
 			return WaveResult{}, fmt.Errorf("sim: destination %d out of range", dst) //minlint:allow hotalloc -- cold validation path
 		}
-		pkts = append(pkts, flying{src: src, dst: dst, link: uint64(src)})
+		pkts = append(pkts, flying{dst: dst, link: uint64(src)})
 	}
 	res.Offered = len(pkts)
 	claimed := r.claimed[:f.N]
@@ -142,21 +139,19 @@ func (r *WaveRunner) RunWave(dsts []int, rng *rand.Rand) (WaveResult, error) {
 		for i := range salt {
 			salt[i] = rng.Uint64()
 		}
-		for i := range claimed {
-			claimed[i] = -1
-		}
+		clear(claimed)
 		// Claim pass. The winner of a contended output is decided by the
 		// cell's salt bit (inlink parity), not by arrival order, so the
 		// scan order is immaterial and no shuffle is needed: a later
-		// salt-favored packet evicts the earlier claimant.
+		// salt-favored packet evicts the earlier claimant. Every drop
+		// marks its packet dst = -1 exactly once; the compaction below
+		// counts them.
 		for idx := range pkts {
 			p := &pkts[idx]
 			cell := p.link >> 1
 			pt := f.steer(r.faults, s, int(cell), p.dst)
 			if pt >= portFaulted {
 				// Unreachable in this fabric, or killed by a fault.
-				res.DropStage[s]++
-				res.Dropped++
 				if pt == portFaulted {
 					res.FaultDropped++
 				}
@@ -164,20 +159,18 @@ func (r *WaveRunner) RunWave(dsts []int, rng *rand.Rand) (WaveResult, error) {
 				continue
 			}
 			out := cell<<1 | uint64(pt)
-			if other := claimed[out]; other >= 0 {
-				res.DropStage[s]++
-				res.Dropped++
+			if other := claimed[out]; other > 0 {
 				win := salt[cell>>6] >> (cell & 63) & 1
 				if p.link&1 == win {
-					pkts[other].dst = -1
-					claimed[out] = int32(idx)
+					pkts[other-1].dst = -1
+					claimed[out] = int32(idx + 1)
 					p.link = out
 				} else {
 					p.dst = -1
 				}
 				continue
 			}
-			claimed[out] = int32(idx)
+			claimed[out] = int32(idx + 1)
 			p.link = out
 		}
 		keep := pkts[:0]
@@ -190,6 +183,8 @@ func (r *WaveRunner) RunWave(dsts []int, rng *rand.Rand) (WaveResult, error) {
 			}
 			keep = append(keep, p)
 		}
+		res.DropStage[s] = len(pkts) - len(keep)
+		res.Dropped += len(pkts) - len(keep)
 		pkts = keep
 	}
 	for _, p := range pkts {

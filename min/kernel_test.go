@@ -35,9 +35,14 @@ func TestWithKernel(t *testing.T) {
 
 // TestSimulateShortRunSkipsBitTables: a default-kernel Simulate of
 // fewer than 64 waves runs scalar and never builds the network's bit
-// tables; a 64-wave one builds them.
+// tables; a 64-wave one builds them. Tail-cycle is the network whose bit
+// tables include the N² path-tag table: it is Banyan but not
+// baseline-equivalent, so it compiles to dense planes.
 func TestSimulateShortRunSkipsBitTables(t *testing.T) {
-	nw := MustBuild(Omega, 6)
+	nw, err := TailCycle(6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	short, err := Simulate(ctx, nw, WithWaves(32), WithSeed(4))
 	if err != nil {

@@ -249,7 +249,8 @@ func (nw *Network) Fingerprint() uint64 {
 	return hash
 }
 
-// compiledFabric lazily compiles the simulation fabric (reach/port planes)
+// compiledFabric lazily compiles the simulation fabric (a tag fabric
+// for baseline-equivalent wiring, dense reach/port planes otherwise)
 // once per Network.
 func (nw *Network) compiledFabric() (*sim.Fabric, error) {
 	nw.fabricOnce.Do(func() {

@@ -91,7 +91,10 @@ const (
 	// KernelAuto (the default) uses the bit-sliced kernel whenever the
 	// network qualifies (Banyan unique-path wiring, at most 16 stages;
 	// all six of the paper's networks do) and the run has at least 64
-	// waves, one whole bit-sliced batch, and falls back to scalar.
+	// waves, one whole bit-sliced batch, and falls back to scalar,
+	// leaving the bit tables unbuilt. Only a network that is Banyan but
+	// not baseline-equivalent, such as TailCycle, has an N² path-tag
+	// table among them; the paper's networks route by destination tag.
 	KernelAuto Kernel = "auto"
 	// KernelScalar forces the one-packet-at-a-time reference kernel.
 	KernelScalar Kernel = "scalar"
